@@ -16,8 +16,7 @@ from .mahler_closed import (METHOD_AGGREGATED, METHOD_ORACLE,
 from .mahler_oracle import (ContinuationError, CurveArc, OracleError,
                             OracleResult, QuadratureConfig, default_config,
                             eta_path_integral, jensen_slice_measure, m_oracle,
-                            primitive_check, vol_integral_quadrature,
-                            vol_integral_reference)
+                            primitive_check, vol_integral_quadrature)
 from .polynomials import (PdSpec, RootFindingError, SingularPointError,
                           UnivariateSlice, aberth_roots_batch, eval_pd,
                           eval_pd_array, eval_pd_rational, eval_partials,

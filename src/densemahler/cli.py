@@ -22,26 +22,18 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .limits import error_E, limit_report, riemann_sum
-from .mahler_closed import (METHOD_AGGREGATED, METHOD_ORACLE,
-                            METHOD_POINTWISE, METHOD_VOLSUM, m_closed)
+from .limits import error_E, integral_reference, limit_report, riemann_sum
+from .mahler_closed import (METHOD_AGGREGATED, METHOD_FLAGS, METHOD_ORACLE,
+                            m_closed)
 from .mahler_oracle import (ContinuationError, OracleError, default_config,
-                            m_oracle, vol_integral_quadrature,
-                            vol_integral_reference)
+                            m_oracle, vol_integral_quadrature)
 from .polynomials import PdSpec, RootFindingError, gauss_map
+from .specfun import TWO_PI
 from .toric import RegularityError, enumerate_toric, epsilon
-from .volume import TWO_PI, vol
+from .volume import vol
 
 NUMERIC_FAILURES = (RootFindingError, RegularityError, ContinuationError,
                     OracleError)
-
-# CLI flag spellings of the estimate method tags
-METHOD_FLAGS = {
-    "pointwise": METHOD_POINTWISE,
-    "volsum": METHOD_VOLSUM,
-    "aggregated": METHOD_AGGREGATED,
-    "oracle": METHOD_ORACLE,
-}
 
 
 def _fmt(x: float) -> str:
@@ -152,7 +144,7 @@ def cmd_report(args, parser) -> int:
                  _fmt(r.reconstruction_residual)] for r in limit_report(ds)]
         _emit(args.out, "d,m_closed,limit,gap,reconstruction_residual", rows)
     elif kind == "vol-integral":
-        series = vol_integral_reference()
+        series = integral_reference()
         quad = vol_integral_quadrature(nodes=args.nodes)
         _emit(args.out, "series,quadrature,abs_diff",
               [[_fmt(series), _fmt(quad), _fmt(abs(series - quad))]])

@@ -17,9 +17,11 @@ measure to its limit 9 zeta(3) / (2 pi^2).
 The reconstruction identity in limit_report re-expresses 2 pi m(P_d) through
 I and the two errors E(d+1), E(d+2):
 
-    2 pi m(P_d) = (d+2)^2/(2 pi^2 (d+1)) * (I - E(d+2)) * ... (plus mirror),
+    2 pi m(P_d) = A (I - E(d+2)) - B (I - E(d+1)),
+    A = (d+2)^2 / (2 pi^2 (d+1)),   B = (d+1)^2 / (2 pi^2 (d+2)),
 
-exactly the decomposition used to pass to the limit.
+exactly the decomposition used to pass to the limit: A - B tends to
+3/(2 pi^2), while A E(d+2) and B E(d+1) vanish because n E(n) -> 0.
 """
 
 from __future__ import annotations
@@ -31,10 +33,8 @@ import numpy as np
 
 from .mahler_closed import grid_weight_sum, m_closed_aggregated
 from .polynomials import PdSpec
-from .specfun import zeta3
-from .volume import vol_array
-
-TWO_PI = 2.0 * math.pi
+from .specfun import TWO_PI, zeta3
+from .volume import in_triangle, vol_array
 
 
 def integral_reference() -> float:
@@ -51,8 +51,6 @@ def riemann_sum(n: int) -> float:
     """S_n = (4 pi^2/n^2) sum_{0<k<k'<n} vol(2k pi/n, 2(k'-k) pi/n)."""
     if n < 2:
         raise ValueError(f"subpartition order must be >= 2, got {n}")
-    if n == 2:
-        return 0.0  # no pairs 0 < k < k' < 2
     return (4.0 * math.pi ** 2 / n ** 2) * grid_weight_sum(n)
 
 
@@ -81,7 +79,7 @@ def in_blue(theta: np.ndarray, alpha: np.ndarray, n: int) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    inside_t = (theta >= 0.0) & (alpha >= 0.0) & (theta + alpha <= TWO_PI)
+    inside_t = in_triangle(theta, alpha, tol=0.0)
     k = np.rint(theta * n / TWO_PI)
     j = np.rint(alpha * n / TWO_PI)
     covered = (k >= 1) & (j >= 1) & (k + j <= n - 1)

@@ -29,22 +29,28 @@ Error bounds propagate linearly from the per-call Clausen budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .polynomials import PdSpec
-from .specfun import CL2_ERROR_BOUND, cl2_array
+from .specfun import CL2_ERROR_BOUND, TWO_PI, cl2_array
 from .toric import enumerate_toric, epsilon
 from .volume import vol_array, volume_v1
-
-TWO_PI = 2.0 * math.pi
 
 METHOD_POINTWISE = "closed_pointwise"
 METHOD_VOLSUM = "closed_volsum"
 METHOD_AGGREGATED = "closed_aggregated"
 METHOD_ORACLE = "oracle"
+
+# The one table of estimate methods: command-line spelling -> method tag.
+# The closed route of tag t is the function m_t of this module.
+METHOD_FLAGS = {
+    "pointwise": METHOD_POINTWISE,
+    "volsum": METHOD_VOLSUM,
+    "aggregated": METHOD_AGGREGATED,
+    "oracle": METHOD_ORACLE,
+}
 
 
 @dataclass(frozen=True)
@@ -57,12 +63,17 @@ class MahlerEstimate:
     error_bound: float
 
 
+def _grid_weights(n: int) -> tuple:
+    # grid indices j = 1..n-1 and the integer multiplicities 2n - 3j - 1
+    j = np.arange(1, n, dtype=float)
+    return j, 2.0 * n - 3.0 * j - 1.0
+
+
 def grid_weight_sum(n: int) -> float:
     """W(n) = sum_{j=1}^{n-1} (2n - 3j - 1) Cl2(2 pi j / n), O(n) Clausen calls."""
     if n < 2:
         raise ValueError(f"grid order must be >= 2, got {n}")
-    j = np.arange(1, n, dtype=float)
-    weights = 2.0 * n - 3.0 * j - 1.0
+    j, weights = _grid_weights(n)
     return float(weights @ cl2_array(TWO_PI * j / n))
 
 
@@ -119,8 +130,7 @@ def m_closed_aggregated(spec: PdSpec) -> MahlerEstimate:
     total = c1 * grid_weight_sum(d + 1) + c2 * grid_weight_sum(d + 2)
 
     def weight_mass(n):
-        j = np.arange(1, n, dtype=float)
-        return float(np.sum(np.abs(2.0 * n - 3.0 * j - 1.0)))
+        return float(np.sum(np.abs(_grid_weights(n)[1])))
 
     bound = CL2_ERROR_BOUND * (abs(c1) * weight_mass(d + 1)
                                + c2 * weight_mass(d + 2)) / TWO_PI
@@ -129,11 +139,7 @@ def m_closed_aggregated(spec: PdSpec) -> MahlerEstimate:
 
 def m_closed(spec: PdSpec, method: str = METHOD_AGGREGATED) -> MahlerEstimate:
     """Dispatch to one of the three closed routes by method name."""
-    routes = {
-        METHOD_POINTWISE: m_closed_pointwise,
-        METHOD_VOLSUM: m_closed_volsum,
-        METHOD_AGGREGATED: m_closed_aggregated,
-    }
-    if method not in routes:
+    if method == METHOD_ORACLE or method not in METHOD_FLAGS.values():
         raise ValueError(f"unknown closed method {method!r}")
-    return routes[method](spec)
+    # looked up at call time, so a rebound route is the one that runs
+    return globals()[f"m_{method}"](spec)

@@ -36,10 +36,8 @@ import numpy as np
 
 from .polynomials import (PdSpec, RootFindingError, aberth_roots_batch,
                           slice_coeff_matrix, y_slice, roots)
-from .specfun import bloch_wigner, zeta3
+from .specfun import TWO_PI, bloch_wigner
 from .volume import vol_array
-
-TWO_PI = 2.0 * math.pi
 
 _BATCH_LIMIT = 1536  # cap on simultaneous Aberth rows, keeps temporaries small
 BRANCH_COLLISION_TOL = 1e-3
@@ -53,6 +51,10 @@ class ContinuationError(ArithmeticError):
     """Branch tracking could not continue safely along the arc."""
 
 
+class _AmbiguousMatch(ContinuationError):
+    """Two roots are equally near the tracked one; a shorter step may settle it."""
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Panel decomposition of [0, 2*pi] and per-panel Gauss node count."""
@@ -61,8 +63,10 @@ class QuadratureConfig:
     panel_breaks: tuple = ()
 
     def __post_init__(self):
-        if self.nodes_per_panel < 2:
-            raise ValueError("need at least 2 nodes per panel")
+        # the error estimate compares against a rule with nodes // 2 nodes,
+        # at least 2, which is the same rule when there are only 2
+        if self.nodes_per_panel < 3:
+            raise ValueError("need at least 3 nodes per panel")
         br = self.panel_breaks
         if len(br) < 2 or br[0] != 0.0 or abs(br[-1] - TWO_PI) > 1e-12:
             raise ValueError("panel breaks must run from 0 to 2*pi")
@@ -70,25 +74,24 @@ class QuadratureConfig:
             raise ValueError("panel breaks must be strictly increasing")
 
 
+def _kink_angles(d: int) -> list:
+    # (k, n, 2 pi k/n) for 0 < k < n, n = d+1, d+2: the x-angles of the
+    # torus zeros, where slice roots cross the unit circle
+    return [(k, n, TWO_PI * k / n) for n in (d + 1, d + 2) for k in range(1, n)]
+
+
 def default_config(spec: PdSpec, nodes_per_panel: int = 64) -> QuadratureConfig:
     """Breaks at every angle 2 pi k/(d+1) and 2 pi k/(d+2) (kink locations)."""
-    d = spec.d
-    angles = {0.0, TWO_PI}
-    for n in (d + 1, d + 2):
-        for k in range(1, n):
-            angles.add(TWO_PI * k / n)
+    angles = {0.0, TWO_PI} | {a for _, _, a in _kink_angles(spec.d)}
     return QuadratureConfig(nodes_per_panel, tuple(sorted(angles)))
 
 
 def _require_breaks_cover(spec: PdSpec, cfg: QuadratureConfig) -> None:
+    # QuadratureConfig already pins the breaks to start at 0 and end at 2*pi
     br = np.asarray(cfg.panel_breaks)
-    d = spec.d
-    for n in (d + 1, d + 2):
-        for k in range(n + 1):
-            a = TWO_PI * k / n
-            if np.min(np.abs(br - a)) > 1e-12:
-                raise ValueError(
-                    f"panel breaks miss the kink angle 2*pi*{k}/{n}")
+    for k, n, a in _kink_angles(spec.d):
+        if np.min(np.abs(br - a)) > 1e-12:
+            raise ValueError(f"panel breaks miss the kink angle 2*pi*{k}/{n}")
 
 
 def jensen_slice_measure(spec: PdSpec, theta: float) -> float:
@@ -101,24 +104,34 @@ def jensen_slice_measure(spec: PdSpec, theta: float) -> float:
     return sum(max(0.0, math.log(abs(r))) for r in rts if r != 0)
 
 
-def _jensen_values(spec: PdSpec, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized Jensen integrand over many angles (batched Aberth)."""
-    coeffs = slice_coeff_matrix(spec, np.exp(1j * thetas))
-    out = np.empty(thetas.size)
+def _slice_root_blocks(spec: PdSpec, x0: np.ndarray, thetas: np.ndarray):
+    """Roots of the slices at x0 (taken at angles thetas), block by block.
+
+    Yields (lo, hi, roots of slices lo..hi-1).  One cold solve seeds the
+    first block; every later block starts from the last fibre of the block
+    before, so neighbouring angles share starting points.  A failure raises
+    OracleError naming the angle range of its block.
+    """
+    coeffs = slice_coeff_matrix(spec, x0)
     warm = None
     for lo in range(0, thetas.size, _BATCH_LIMIT):
         hi = min(lo + _BATCH_LIMIT, thetas.size)
-        block = coeffs[lo:hi]
         try:
             if warm is None:
-                # one cold solve, then the whole block rides on it
-                warm = aberth_roots_batch(block[:1])[0]
-            rts = aberth_roots_batch(block, initial=warm)
+                warm = aberth_roots_batch(coeffs[:1])[0]
+            rts = aberth_roots_batch(coeffs[lo:hi], initial=warm)
         except RootFindingError as exc:
             raise OracleError(
                 f"root finding failed in [{thetas[lo]:.6f}, "
                 f"{thetas[hi - 1]:.6f}]") from exc
+        yield lo, hi, rts
         warm = rts[-1]
+
+
+def _jensen_values(spec: PdSpec, thetas: np.ndarray) -> np.ndarray:
+    """Vectorized Jensen integrand over many angles (batched Aberth)."""
+    out = np.empty(thetas.size)
+    for lo, hi, rts in _slice_root_blocks(spec, np.exp(1j * thetas), thetas):
         abs2 = rts.real ** 2 + rts.imag ** 2
         out[lo:hi] = 0.5 * np.sum(np.log(np.maximum(1.0, abs2)), axis=1)
     return out
@@ -206,7 +219,7 @@ def _match_branch(prev: complex, fibre: np.ndarray) -> complex:
     if order.size > 1:
         margin = dist[order[1]] - dist[order[0]]
         if margin < 1e-12:
-            raise ContinuationError(
+            raise _AmbiguousMatch(
                 f"ambiguous branch match (margin {margin:.3e})")
         others = np.abs(fibre[order[1:]] - best)
         if np.min(others) < BRANCH_COLLISION_TOL:
@@ -225,15 +238,9 @@ def _track_branch(spec: PdSpec, arc: CurveArc) -> tuple:
     """
     m = 2 * arc.steps + 1
     t = np.linspace(arc.t_start, arc.t_end, m)
-    coeffs = slice_coeff_matrix(spec, arc.radius * np.exp(1j * t))
     fibres = np.empty((m, spec.d), dtype=complex)
-    warm = None
-    for lo in range(0, m, _BATCH_LIMIT):
-        hi = min(lo + _BATCH_LIMIT, m)
-        if warm is None:
-            warm = aberth_roots_batch(coeffs[:1])[0]
-        fibres[lo:hi] = aberth_roots_batch(coeffs[lo:hi], initial=warm)
-        warm = fibres[hi - 1]
+    for lo, hi, rts in _slice_root_blocks(spec, arc.radius * np.exp(1j * t), t):
+        fibres[lo:hi] = rts
 
     start_order = sorted(range(spec.d),
                          key=lambda i: (fibres[0][i].real, fibres[0][i].imag))
@@ -242,9 +249,7 @@ def _track_branch(spec: PdSpec, arc: CurveArc) -> tuple:
     for i in range(1, m):
         try:
             y[i] = _match_branch(y[i - 1], fibres[i])
-        except ContinuationError as exc:
-            if "ambiguous" not in str(exc):
-                raise
+        except _AmbiguousMatch:
             y[i] = _refine_step(spec, arc.radius, t[i - 1], y[i - 1], t[i])
     return t, y
 
@@ -258,16 +263,12 @@ def _refine_step(spec: PdSpec, radius: float, t_a: float, y_a: complex,
     fibre = np.array(roots(y_slice(spec, radius * cmath.exp(1j * t_mid))))
     try:
         y_mid = _match_branch(y_a, fibre)
-    except ContinuationError as exc:
-        if "ambiguous" not in str(exc):
-            raise
+    except _AmbiguousMatch:
         y_mid = _refine_step(spec, radius, t_a, y_a, t_mid, depth + 1)
     fibre_b = np.array(roots(y_slice(spec, radius * cmath.exp(1j * t_b))))
     try:
         return _match_branch(y_mid, fibre_b)
-    except ContinuationError as exc:
-        if "ambiguous" not in str(exc):
-            raise
+    except _AmbiguousMatch:
         return _refine_step(spec, radius, t_mid, y_mid, t_b, depth + 1)
 
 
@@ -330,8 +331,3 @@ def vol_integral_quadrature(nodes: int = 64, grading_depth: int = 8) -> float:
     vals = vol_array(theta, alpha[:, None])
     inner = length * (vals @ wu)
     return float(w_alpha @ inner)
-
-
-def vol_integral_reference() -> float:
-    """The series value 6 pi zeta(3) the quadrature is checked against."""
-    return 6.0 * math.pi * zeta3()

@@ -79,20 +79,11 @@ class UnivariateSlice:
 
 def eval_pd(spec: PdSpec, x: complex, y: complex) -> complex:
     """P_d(x, y) by the double-Horner scheme, O(d) operations."""
-    x = complex(x)
-    y = complex(y)
-    s = 1.0 + 0.0j  # S_0
-    xp = 1.0 + 0.0j
-    acc = s
-    for _ in range(spec.d):
-        xp *= x
-        s += xp
-        acc = acc * y + s
-    return acc
+    return complex(eval_pd_array(spec, x, y))
 
 
 def eval_pd_array(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized eval_pd over arrays of points (same summation order)."""
+    """P_d over arrays of points: Horner in y while growing S_m(x)."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     s = np.ones(np.broadcast(x, y).shape, dtype=complex)
@@ -152,18 +143,15 @@ def gauss_map(spec: PdSpec, x: complex, y: complex) -> complex:
 
 def y_slice(spec: PdSpec, x0: complex) -> UnivariateSlice:
     """Univariate slice y -> P_d(x0, y); coefficient of y^j is S_{d-j}(x0)."""
-    x0 = complex(x0)
-    sums = [1.0 + 0.0j]  # S_0
-    xp = 1.0 + 0.0j
-    for _ in range(spec.d):
-        xp *= x0
-        sums.append(sums[-1] + xp)
-    # ascending powers of y: S_d, S_{d-1}, ..., S_0; leading term exactly 1
-    return UnivariateSlice(tuple(reversed(sums)))
+    return UnivariateSlice(tuple(slice_coeff_matrix(spec, complex(x0))[0].tolist()))
 
 
 def slice_coeff_matrix(spec: PdSpec, x0: np.ndarray) -> np.ndarray:
-    """Slice coefficients for a batch of x0 values, shape (len(x0), d+1)."""
+    """Slice coefficients for a batch of x0 values, shape (len(x0), d+1).
+
+    Row i holds S_d(x0_i), ..., S_1(x0_i), S_0 = 1: ascending powers of y,
+    leading coefficient exactly 1.
+    """
     x0 = np.asarray(x0, dtype=complex)
     d = spec.d
     out = np.empty((x0.size, d + 1), dtype=complex)
@@ -264,12 +252,7 @@ def roots(slice_: UnivariateSlice) -> list:
         found.extend(aberth_roots_batch(core[None, :])[0].tolist())
 
     scale = 1.0 + float(np.max(np.abs(c)))
-    worst = 0.0
-    for r in found:
-        acc = 0.0 + 0.0j
-        for coeff in reversed(slice_.coefficients):
-            acc = acc * r + coeff
-        worst = max(worst, abs(acc))
+    worst = float(np.max(np.abs(_polyval_batch(c[None, :], np.array([found])))))
     if worst > ROOT_RESIDUAL_TOL * scale:
         raise RootFindingError("root residual above tolerance", worst)
     return found

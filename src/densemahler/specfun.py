@@ -84,6 +84,16 @@ def reduce_angle(theta: float) -> float:
     return r
 
 
+def _cl2_series(t, log_t):
+    # Cl2(t) for t in (0, pi] from the 32-term series, given log(t); the
+    # same Horner pass serves a float (cl2) and an array (cl2_array)
+    x = (t / TWO_PI) ** 2
+    s = 0.0
+    for c in reversed(_CL2_COEFFS):
+        s = s * x + c
+    return t * (1.0 - log_t + x * s)
+
+
 def cl2(theta: float) -> float:
     """Clausen function Cl2(theta) as a plain float (the fast path)."""
     t = reduce_angle(theta)
@@ -93,11 +103,7 @@ def cl2(theta: float) -> float:
         sign = -1.0
     if t == 0.0:
         return 0.0
-    x = (t / TWO_PI) ** 2
-    s = 0.0
-    for c in reversed(_CL2_COEFFS):
-        s = s * x + c
-    return sign * t * (1.0 - math.log(t) + x * s)
+    return sign * _cl2_series(t, math.log(t))
 
 
 def cl2_array(theta: np.ndarray) -> np.ndarray:
@@ -109,12 +115,7 @@ def cl2_array(theta: np.ndarray) -> np.ndarray:
     t = np.where(t >= TWO_PI, 0.0, t)
     sign = np.where(t > math.pi, -1.0, 1.0)
     t = np.where(t > math.pi, TWO_PI - t, t)
-    x = (t / TWO_PI) ** 2
-    s = np.zeros_like(t)
-    for c in reversed(_CL2_COEFFS):
-        s = s * x + c
-    safe_t = np.where(t > 0.0, t, 1.0)
-    out = sign * t * (1.0 - np.log(safe_t) + x * s)
+    out = sign * _cl2_series(t, np.log(np.where(t > 0.0, t, 1.0)))
     return np.where(t > 0.0, out, 0.0)
 
 

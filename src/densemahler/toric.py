@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import PdSpec, gauss_map
+from .specfun import TWO_PI
 
 TORIC_RESIDUAL_TOL = 1e-10
 REGULARITY_MIN_IM = 1e-8
@@ -57,11 +58,11 @@ class ToricPoint:
 
     @property
     def x_angle(self) -> float:
-        return 2.0 * math.pi * self.k / self.modulus
+        return TWO_PI * self.k / self.modulus
 
     @property
     def y_angle(self) -> float:
-        return 2.0 * math.pi * self.k_prime / self.modulus
+        return TWO_PI * self.k_prime / self.modulus
 
     @property
     def x(self) -> complex:

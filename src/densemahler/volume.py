@@ -31,11 +31,9 @@ import math
 from dataclasses import dataclass
 
 from .polynomials import PdSpec
-from .specfun import cl2, cl2_array
+from .specfun import TWO_PI, cl2, cl2_array
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 # slack for membership in the closed triangle (boundary points are legal)
 TRIANGLE_TOL = 1e-9
@@ -43,9 +41,11 @@ TORUS_TOL = 1e-12
 
 
 def in_triangle(theta: float, alpha: float, tol: float = TRIANGLE_TOL) -> bool:
-    """Membership in the closed triangle T, with floating-point slack."""
-    return (theta >= -tol and alpha >= -tol
-            and theta + alpha <= TWO_PI + tol)
+    """Membership in the closed triangle T, with floating-point slack.
+
+    Elementwise when given arrays.
+    """
+    return (theta >= -tol) & (alpha >= -tol) & (theta + alpha <= TWO_PI + tol)
 
 
 def _require_triangle(theta: float, alpha: float) -> None:
@@ -65,8 +65,7 @@ def vol_array(theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Vectorized vol; every point must lie in the closed triangle."""
     theta = np.asarray(theta, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if not (np.all(theta >= -TRIANGLE_TOL) and np.all(alpha >= -TRIANGLE_TOL)
-            and np.all(theta + alpha <= TWO_PI + TRIANGLE_TOL)):
+    if not np.all(in_triangle(theta, alpha)):
         raise ValueError("points outside the closed triangle")
     return cl2_array(theta) + cl2_array(alpha) - cl2_array(theta + alpha)
 

@@ -14,13 +14,12 @@ import time
 import numpy as np
 
 from conftest import interior_triangle_points
-from densemahler.limits import error_E, limit_value
+from densemahler.limits import error_E, integral_reference, limit_value
 from densemahler.mahler_closed import (m_closed_aggregated,
                                        m_closed_pointwise, m_closed_volsum)
 from densemahler.mahler_oracle import (CurveArc, eta_path_integral, m_oracle,
                                        primitive_check,
-                                       vol_integral_quadrature,
-                                       vol_integral_reference)
+                                       vol_integral_quadrature)
 from densemahler.polynomials import PdSpec, eval_pd, gauss_map
 from densemahler.specfun import cl2
 from densemahler.toric import check_regularity, enumerate_toric, epsilon
@@ -88,7 +87,7 @@ def test_criterion_5_integral_identity():
     start = time.perf_counter()
     quad = vol_integral_quadrature()
     elapsed = time.perf_counter() - start
-    diff = abs(quad - vol_integral_reference())
+    diff = abs(quad - integral_reference())
     ok = diff <= 1e-6 and elapsed < 10.0
     assert _verdict(5, "2-D quadrature of vol = 6 pi zeta(3) within 1e-6, "
                        "<10s", ok), f"diff {diff:.3e}"

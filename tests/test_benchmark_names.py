@@ -1,0 +1,37 @@
+"""The benchmark in perfbench/ traces and calls package names by string.
+
+A rename or deletion in the package would only show when the benchmark runs,
+so this loads perfbench/run.py as it is and resolves every name it uses.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import densemahler
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports workloads
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    run = _load_run(monkeypatch)
+    traced = set(run.SELF_TIMES) | {name for name, _ in run.COUNT_METRICS.values()}
+    # run.machine() calls cli._worker_count() on every run
+    called = traced | {"cli._worker_count"}
+    missing = []
+    for name in sorted(called):
+        module, _, attr = name.rpartition(".")
+        obj = getattr(importlib.import_module(f"densemahler.{module}"), attr, None)
+        if not callable(obj):
+            missing.append(name)
+    assert missing == []
+    assert isinstance(densemahler.CL2_ERROR_BOUND, float)

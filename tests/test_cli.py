@@ -29,6 +29,10 @@ def test_measure_usage_errors(capsys):
     capsys.readouterr()
     assert run_cli(["measure", "--d", "2", "--method", "bogus"]) == 2
     capsys.readouterr()
+    # with 2 nodes the error estimate would compare the rule with itself
+    assert run_cli(["measure", "--d", "3", "--method", "oracle",
+                    "--nodes", "2"]) == 2
+    assert "at least 3 nodes" in capsys.readouterr().err
 
 
 def test_sweep_with_oracle(tmp_path, capsys, monkeypatch):

@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from densemahler import mahler_oracle
+from densemahler.limits import integral_reference
 from densemahler.mahler_closed import m_closed_volsum
 from densemahler.mahler_oracle import (ContinuationError, CurveArc,
                                        QuadratureConfig, default_config,
                                        eta_path_integral,
                                        jensen_slice_measure, m_oracle,
                                        primitive_check,
-                                       vol_integral_quadrature,
-                                       vol_integral_reference)
+                                       vol_integral_quadrature)
 from densemahler.polynomials import PdSpec, roots, y_slice
 from densemahler.toric import enumerate_toric
 from densemahler.volume import vol
@@ -65,6 +66,8 @@ def test_oracle_error_estimate_behaviour():
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(1, (0.0, TWO_PI))
+    with pytest.raises(ValueError):
+        QuadratureConfig(2, (0.0, TWO_PI))  # half-node rule = the rule
     with pytest.raises(ValueError):
         QuadratureConfig(8, (0.0, 1.0))  # does not reach 2*pi
     with pytest.raises(ValueError):
@@ -125,6 +128,57 @@ def test_branch_collision_detected():
         primitive_check(PdSpec(2), arc)
 
 
+def _forced_match(monkeypatch, error, at_call):
+    # replace the nearest-root match by one that raises `error` on its
+    # at_call-th call, and count the refinements
+    real = mahler_oracle._match_branch
+    calls = {"match": 0, "refine": 0}
+
+    def match(prev, fibre):
+        calls["match"] += 1
+        if calls["match"] == at_call:
+            raise error
+        return real(prev, fibre)
+
+    real_refine = mahler_oracle._refine_step
+
+    def refine(*args, **kwargs):
+        calls["refine"] += 1
+        return real_refine(*args, **kwargs)
+
+    monkeypatch.setattr(mahler_oracle, "_match_branch", match)
+    monkeypatch.setattr(mahler_oracle, "_refine_step", refine)
+    return calls
+
+
+def test_ambiguous_match_is_refined(monkeypatch):
+    # an equidistant fibre cannot pick a branch: the ambiguity subclass
+    with pytest.raises(mahler_oracle._AmbiguousMatch):
+        mahler_oracle._match_branch(0j, np.array([1.0 + 0j, -1.0 + 0j]))
+    spec, arc = PdSpec(3), CurveArc(0.9, 0.2, 1.0, steps=8)
+    t_ref, y_ref = mahler_oracle._track_branch(spec, arc)
+    calls = _forced_match(monkeypatch, mahler_oracle._AmbiguousMatch(
+        "ambiguous branch match (forced)"), at_call=5)
+    t, y = mahler_oracle._track_branch(spec, arc)
+    # the halved step lands on the same branch, re-solved by roots()
+    assert calls["refine"] == 1
+    assert np.array_equal(t, t_ref)
+    assert np.max(np.abs(y - y_ref)) <= 1e-12
+
+
+def test_collision_is_not_refined(monkeypatch):
+    # two roots closer than the collision tolerance: a plain error
+    with pytest.raises(ContinuationError) as info:
+        mahler_oracle._match_branch(0j, np.array([1.0, 1.0005, 5.0],
+                                                 dtype=complex))
+    assert type(info.value) is ContinuationError
+    assert "collision" in str(info.value)
+    calls = _forced_match(monkeypatch, info.value, at_call=5)
+    with pytest.raises(ContinuationError):
+        mahler_oracle._track_branch(PdSpec(3), CurveArc(0.9, 0.2, 1.0, steps=8))
+    assert calls["refine"] == 0
+
+
 def test_arc_validation():
     with pytest.raises(ValueError):
         CurveArc(radius=1.0, t_start=0.0, t_end=1.0)
@@ -135,7 +189,7 @@ def test_arc_validation():
 
 
 def test_vol_integral_quadrature():
-    target = vol_integral_reference()
+    target = integral_reference()
     q64 = vol_integral_quadrature(nodes=64)
     q16 = vol_integral_quadrature(nodes=16)
     assert abs(q64 - target) <= 1e-6
