@@ -7,9 +7,20 @@ a singular 2-D integrand into a continuous 1-D one which is piecewise
 analytic: its only kinks sit where a slice root crosses the unit circle,
 i.e. exactly at the x-angles of the torus zeros.  Placing quadrature panel
 breaks at all angles 2 pi k/(d+1) and 2 pi k/(d+2) restores spectral
-accuracy for Gauss-Legendre inside each panel.  The reported error estimate
-is the summed per-panel difference against a half-node rule; it is an
-empirical estimate, not a proven bound.
+accuracy for Gauss-Legendre inside each panel.  P_d has real coefficients,
+so the slice at e^{-i theta} is the conjugate of the slice at e^{i theta}
+and the integrand satisfies f(theta) = f(2 pi - theta): only the panels on
+[0, pi] are integrated (the breaks below pi, then pi itself, which is always
+a kink) and the result is scaled by 1/pi.  The kinks form a symmetric set,
+so every configuration that covers them is exact under this half-range
+rule, mirrored or not.  The reported error estimate is the summed per-panel
+difference against a half-node rule; it is an empirical estimate, not a
+proven bound.
+
+The slices are solved by Aberth iteration warm-started from nearby solved
+roots: every _SEED_STRIDE-th angle is a seed, the seeds are solved as a
+batch started from one cold solve, and every angle then starts from the
+roots of its nearest seed, at most _SEED_STRIDE/2 angles away.
 
 primitive_check integrates the curve one-form
 
@@ -40,6 +51,8 @@ from .specfun import TWO_PI, bloch_wigner
 from .volume import vol_array
 
 _BATCH_LIMIT = 1536  # cap on simultaneous Aberth rows, keeps temporaries small
+_SEED_STRIDE = 12  # angles per warm-start seed: near enough for few sweeps
+_BREAK_TOL = 1e-12  # a break this close to a kink angle covers it
 BRANCH_COLLISION_TOL = 1e-3
 
 
@@ -68,7 +81,7 @@ class QuadratureConfig:
         if self.nodes_per_panel < 3:
             raise ValueError("need at least 3 nodes per panel")
         br = self.panel_breaks
-        if len(br) < 2 or br[0] != 0.0 or abs(br[-1] - TWO_PI) > 1e-12:
+        if len(br) < 2 or br[0] != 0.0 or abs(br[-1] - TWO_PI) > _BREAK_TOL:
             raise ValueError("panel breaks must run from 0 to 2*pi")
         if any(b2 <= b1 for b1, b2 in zip(br, br[1:])):
             raise ValueError("panel breaks must be strictly increasing")
@@ -90,7 +103,7 @@ def _require_breaks_cover(spec: PdSpec, cfg: QuadratureConfig) -> None:
     # QuadratureConfig already pins the breaks to start at 0 and end at 2*pi
     br = np.asarray(cfg.panel_breaks)
     for k, n, a in _kink_angles(spec.d):
-        if np.min(np.abs(br - a)) > 1e-12:
+        if np.min(np.abs(br - a)) > _BREAK_TOL:
             raise ValueError(f"panel breaks miss the kink angle 2*pi*{k}/{n}")
 
 
@@ -104,28 +117,39 @@ def jensen_slice_measure(spec: PdSpec, theta: float) -> float:
     return sum(max(0.0, math.log(abs(r))) for r in rts if r != 0)
 
 
+def _solve_slices(coeffs: np.ndarray, initial, thetas: np.ndarray) -> np.ndarray:
+    # one Aberth batch; a failure names the angle range of the batch
+    try:
+        return aberth_roots_batch(coeffs, initial=initial)
+    except RootFindingError as exc:
+        raise OracleError(f"root finding failed in [{thetas[0]:.6f}, "
+                          f"{thetas[-1]:.6f}]") from exc
+
+
 def _slice_root_blocks(spec: PdSpec, x0: np.ndarray, thetas: np.ndarray):
     """Roots of the slices at x0 (taken at angles thetas), block by block.
 
-    Yields (lo, hi, roots of slices lo..hi-1).  One cold solve seeds the
-    first block; every later block starts from the last fibre of the block
-    before, so neighbouring angles share starting points.  A failure raises
-    OracleError naming the angle range of its block.
+    Yields (lo, hi, roots of slices lo..hi-1).  Every _SEED_STRIDE-th slice
+    is a seed; one cold solve starts the first block of seeds and each later
+    block starts from the last seed before it.  Every slice then starts from
+    the roots of its nearest seed.  A failure raises OracleError naming the
+    angle range of its block.
     """
     coeffs = slice_coeff_matrix(spec, x0)
-    warm = None
+    seed_coeffs, seed_thetas = coeffs[::_SEED_STRIDE], thetas[::_SEED_STRIDE]
+    seeds = np.empty((seed_thetas.size, spec.d), dtype=complex)
+    warm = _solve_slices(coeffs[:1], None, thetas[:1])[0]
+    for lo in range(0, seed_thetas.size, _BATCH_LIMIT):
+        hi = min(lo + _BATCH_LIMIT, seed_thetas.size)
+        seeds[lo:hi] = _solve_slices(seed_coeffs[lo:hi], warm,
+                                     seed_thetas[lo:hi])
+        warm = seeds[hi - 1]
+    nearest = np.minimum((np.arange(thetas.size) + _SEED_STRIDE // 2)
+                         // _SEED_STRIDE, seeds.shape[0] - 1)
     for lo in range(0, thetas.size, _BATCH_LIMIT):
         hi = min(lo + _BATCH_LIMIT, thetas.size)
-        try:
-            if warm is None:
-                warm = aberth_roots_batch(coeffs[:1])[0]
-            rts = aberth_roots_batch(coeffs[lo:hi], initial=warm)
-        except RootFindingError as exc:
-            raise OracleError(
-                f"root finding failed in [{thetas[lo]:.6f}, "
-                f"{thetas[hi - 1]:.6f}]") from exc
-        yield lo, hi, rts
-        warm = rts[-1]
+        yield lo, hi, _solve_slices(coeffs[lo:hi], seeds[nearest[lo:hi]],
+                                    thetas[lo:hi])
 
 
 def _jensen_values(spec: PdSpec, thetas: np.ndarray) -> np.ndarray:
@@ -139,7 +163,11 @@ def _jensen_values(spec: PdSpec, thetas: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """m(P_d) from quadrature with its empirical error estimate."""
+    """m(P_d) from quadrature with its empirical error estimate.
+
+    panels counts the panels integrated, those on [0, pi]; the integrand's
+    mirror symmetry accounts for [pi, 2 pi].
+    """
 
     d: int
     value: float
@@ -149,15 +177,21 @@ class OracleResult:
 
 
 def m_oracle(spec: PdSpec, cfg: QuadratureConfig | None = None) -> OracleResult:
-    """(1/2pi) integral of the Jensen integrand by per-panel Gauss-Legendre.
+    """(1/pi) integral over [0, pi] of the Jensen integrand, panel by panel.
 
-    The error estimate is the summed absolute difference of each panel
-    against the half-node rule (reported, not proven).
+    The integrand is even about pi, so this is the (1/2pi) integral over
+    [0, 2 pi].  Panels are the breaks below pi followed by pi itself, each
+    with Gauss-Legendre.  The error estimate is the summed absolute
+    difference of each panel against the half-node rule (reported, not
+    proven).
     """
     if cfg is None:
         cfg = default_config(spec)
     _require_breaks_cover(spec, cfg)
     breaks = np.asarray(cfg.panel_breaks)
+    # pi is a kink (d+1 or d+2 is even), and the break covering it may sit an
+    # ulp below pi: it gives way to pi itself rather than leave a 1-ulp panel
+    breaks = np.append(breaks[breaks < math.pi - _BREAK_TOL], math.pi)
     lo, hi = breaks[:-1], breaks[1:]
     n_panels = lo.size
 
@@ -171,10 +205,10 @@ def m_oracle(spec: PdSpec, cfg: QuadratureConfig | None = None) -> OracleResult:
 
     full = panel_contribs(cfg.nodes_per_panel)
     halfrule = panel_contribs(max(2, cfg.nodes_per_panel // 2))
-    change = np.abs(full - halfrule) / TWO_PI
+    change = np.abs(full - halfrule) / math.pi
     return OracleResult(
         d=spec.d,
-        value=float(np.sum(full)) / TWO_PI,
+        value=float(np.sum(full)) / math.pi,
         panels=n_panels,
         max_panel_contribution_change=float(np.max(change)),
         error_estimate=float(np.sum(change)),

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from densemahler import mahler_oracle
 from densemahler.limits import integral_reference
 from densemahler.mahler_closed import m_closed_volsum
 from densemahler.mahler_oracle import (ContinuationError, CurveArc,
-                                       QuadratureConfig, default_config,
+                                       OracleError, QuadratureConfig,
+                                       default_config,
                                        eta_path_integral,
                                        jensen_slice_measure, m_oracle,
                                        primitive_check,
                                        vol_integral_quadrature)
-from densemahler.polynomials import PdSpec, roots, y_slice
+from densemahler.polynomials import (ABERTH_NEWTON_TOL, PdSpec,
+                                     aberth_roots_batch, roots,
+                                     slice_coeff_matrix, y_slice)
 from densemahler.toric import enumerate_toric
 from densemahler.volume import vol
 
@@ -61,6 +65,95 @@ def test_oracle_error_estimate_behaviour():
         assert abs(r16.value - r8.value) <= r8.error_estimate
         assert r8.error_estimate >= 0.0
         assert r8.max_panel_contribution_change <= r8.error_estimate
+
+
+def test_jensen_integrand_mirror_symmetry(rng):
+    # real coefficients: the slice at e^{-it} is the conjugate of the one at
+    # e^{it}, so the integrand is even about pi and [0, pi] suffices.  Each
+    # side sums d terms log|y| of roots converged to ABERTH_NEWTON_TOL.
+    for d in (1, 2, 9, 30):
+        t = np.sort(rng.uniform(0.0, math.pi, 200))
+        t = t[t > 0.0]
+        spec = PdSpec(d)
+        lower = mahler_oracle._jensen_values(spec, t)
+        upper = mahler_oracle._jensen_values(spec, TWO_PI - t)
+        assert np.max(np.abs(lower - upper)) <= d * ABERTH_NEWTON_TOL
+
+
+def test_unmirrored_breaks():
+    # extra breaks at 1.0 (below pi, a panel more) and 4.5 (above pi, not
+    # integrated); d = 20 puts its kink break at pi one ulp below pi
+    for d, half_panels in ((5, 6), (20, 21)):
+        spec = PdSpec(d)
+        default = default_config(spec)
+        assert len(default.panel_breaks) - 1 == 2 * half_panels
+        cfg = QuadratureConfig(64, tuple(sorted(default.panel_breaks
+                                                + (1.0, 4.5))))
+        ref = m_oracle(spec, default)
+        got = m_oracle(spec, cfg)
+        assert ref.panels == half_panels
+        assert got.panels == half_panels + 1
+        assert abs(got.value - ref.value) <= 1e-13
+
+
+def _mpmath_m(mpmath, d):
+    # 2 pi m(P_d) = -2/(d+2) W(d+1) + 2/(d+1) W(d+2) with
+    # W(n) = sum_{j=1}^{n-1} (2n - 3j - 1) Cl2(2 pi j/n), all at 30 digits
+    def w(n):
+        return mpmath.fsum((2 * n - 3 * j - 1)
+                           * mpmath.clsin(2, 2 * mpmath.pi * j / n)
+                           for j in range(1, n))
+
+    total = (-mpmath.mpf(2) / (d + 2) * w(d + 1)
+             + mpmath.mpf(2) / (d + 1) * w(d + 2))
+    return total / (2 * mpmath.pi)
+
+
+def test_oracle_within_estimate_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for d in list(range(1, 13)) + [20, 30]:
+            res = m_oracle(PdSpec(d))
+            ref = _mpmath_m(mpmath, d)
+            assert abs(res.value - float(ref)) <= res.error_estimate, d
+
+
+@pytest.mark.parametrize("good_calls", [0, 1, 2])
+def test_oracle_error_names_angle_range(monkeypatch, good_calls):
+    # after good_calls solves (cold seed, seed block, slice block) every
+    # Aberth call gets one sweep and fails; the error names angles in [0, pi]
+    calls = {"n": 0}
+
+    def one_sweep(coeffs, **kwargs):
+        calls["n"] += 1
+        if calls["n"] > good_calls:
+            kwargs["max_iter"] = 1
+        return aberth_roots_batch(coeffs, **kwargs)
+
+    monkeypatch.setattr(mahler_oracle, "aberth_roots_batch", one_sweep)
+    with pytest.raises(OracleError) as info:
+        m_oracle(PdSpec(6))
+    lo, hi = map(float, re.search(r"\[([\d.]+), ([\d.]+)\]",
+                                  str(info.value)).groups())
+    assert 0.0 <= lo <= hi <= round(math.pi, 6)
+
+
+def test_seeded_blocks_match_cold_solves():
+    # more angles than one block of seeds, so both the seed pass and the
+    # slice pass cross block boundaries; radius 0.9 keeps roots apart
+    n = mahler_oracle._SEED_STRIDE * mahler_oracle._BATCH_LIMIT + 7
+    spec = PdSpec(4)
+    t = np.linspace(0.0, TWO_PI, n)
+    x0 = 0.9 * np.exp(1j * t)
+    seeded = np.full((n, spec.d), np.nan, dtype=complex)
+    for lo, hi, rts in mahler_oracle._slice_root_blocks(spec, x0, t):
+        seeded[lo:hi] = rts
+    cold = aberth_roots_batch(slice_coeff_matrix(spec, x0))
+    # the roots are at least 0.3 apart, so a root of each solve within
+    # 1e-10 of one of the other, both ways, is the same set of roots
+    dist = np.abs(seeded[:, :, None] - cold[:, None, :])
+    assert np.max(np.min(dist, axis=2)) <= 1e-10
+    assert np.max(np.min(dist, axis=1)) <= 1e-10
 
 
 def test_quadrature_config_validation():

@@ -66,8 +66,11 @@ def test_array_eval_matches_scalar(rng):
     y = rng.normal(size=40) + 1j * rng.normal(size=40)
     vals = eval_pd_array(PdSpec(d), x, y)
     for i in range(40):
-        scalar = eval_pd(PdSpec(d), x[i], y[i])
-        assert abs(vals[i] - scalar) <= 1e-12 * max(1.0, abs(scalar))
+        # the defining double sum, independent of the Horner scheme
+        ref = sum(complex(x[i]) ** a * complex(y[i]) ** b
+                  for a in range(d + 1) for b in range(d + 1 - a))
+        for got in (vals[i], eval_pd(PdSpec(d), x[i], y[i])):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_partials_examples():
