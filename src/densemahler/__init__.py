@@ -21,12 +21,10 @@ from .polynomials import (PdSpec, RootFindingError, SingularPointError,
                           UnivariateSlice, aberth_roots_batch, eval_pd,
                           eval_pd_array, eval_pd_rational, eval_partials,
                           gauss_map, roots, y_slice)
-from .specfun import (CL2_ERROR_BOUND, Cl2Value, bloch_wigner,
-                      bloch_wigner_on_circle, cl2, cl2_array, clausen,
+from .specfun import (CL2_ERROR_BOUND, bloch_wigner, cl2, cl2_array,
                       clausen_series, reduce_angle, zeta3)
 from .toric import (RegularityError, RegularityReport, ToricPoint,
-                    check_regularity, enumerate_toric, epsilon,
-                    is_above_diagonal, omega)
+                    check_regularity, enumerate_toric, epsilon)
 from .volume import (Hessian2, in_triangle, vol, vol_array, vol_gradient,
                      vol_hessian, volume_v, volume_v1)
 

@@ -9,8 +9,9 @@ report        CSV/report emitters: toric points, vol grid, limit table,
 
 All numeric output is locale-independent with 15 significant digits and
 "\n" line endings, so identical invocations produce byte-identical files.
-Sweeps parallelize across d (MAHLER_THREADS caps the worker count); rows are
-buffered and written in ascending d regardless of completion order.
+Sweeps parallelize across d (MAHLER_THREADS sets the worker count, at most
+32); rows are buffered and written in ascending d regardless of completion
+order.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numeric failure.
 """
@@ -51,12 +52,12 @@ def _emit(path: str | None, header: str, rows: list) -> None:
 
 def _worker_count() -> int:
     env = os.environ.get("MAHLER_THREADS")
-    if env is not None:
-        n = int(env)
-        if n < 1:
-            raise ValueError("MAHLER_THREADS must be a positive integer")
-        return n
-    return min(32, os.cpu_count() or 1)
+    if env is None:
+        return min(32, os.cpu_count() or 1)
+    n = int(env)
+    if n < 1:
+        raise ValueError("MAHLER_THREADS must be a positive integer")
+    return min(32, n)
 
 
 def _parse_d_list(text: str) -> list:

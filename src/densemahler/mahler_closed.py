@@ -36,7 +36,7 @@ import numpy as np
 from .polynomials import PdSpec
 from .specfun import CL2_ERROR_BOUND, TWO_PI, cl2_array
 from .toric import enumerate_toric, epsilon
-from .volume import vol_array, volume_v1
+from .volume import vol_array, volume_v1, volume_v_array
 
 METHOD_POINTWISE = "closed_pointwise"
 METHOD_VOLSUM = "closed_volsum"
@@ -95,12 +95,7 @@ def m_closed_pointwise(spec: PdSpec) -> MahlerEstimate:
         eps = np.array([epsilon(pt) for pt in points], dtype=float)
         tx = np.array([pt.x_angle for pt in points])
         ty = np.array([pt.y_angle for pt in points])
-        m = d + 1.0
-        first = (cl2_array(m * ty) - cl2_array(m * tx)
-                 - cl2_array(m * (ty - tx))) / ((d + 1.0) * (d + 2.0))
-        second = (cl2_array(tx) - cl2_array(ty)
-                  - cl2_array(tx - ty)) / (d + 2.0)
-        total = float(eps @ (first + second))
+        total = float(eps @ volume_v_array(spec, tx, ty))
     bound = len(points) * CL2_ERROR_BOUND / TWO_PI
     return MahlerEstimate(d, total / TWO_PI, METHOD_POINTWISE, bound)
 

@@ -10,12 +10,10 @@ breaks at all angles 2 pi k/(d+1) and 2 pi k/(d+2) restores spectral
 accuracy for Gauss-Legendre inside each panel.  P_d has real coefficients,
 so the slice at e^{-i theta} is the conjugate of the slice at e^{i theta}
 and the integrand satisfies f(theta) = f(2 pi - theta): only the panels on
-[0, pi] are integrated (the breaks below pi, then pi itself, which is always
-a kink) and the result is scaled by 1/pi.  The kinks form a symmetric set,
-so every configuration that covers them is exact under this half-range
-rule, mirrored or not.  The reported error estimate is the summed per-panel
-difference against a half-node rule; it is an empirical estimate, not a
-proven bound.
+[0, pi] are integrated (the kinks below pi, then pi itself, which is always
+a kink) and the result is scaled by 1/pi.  The reported error estimate is
+the summed per-panel difference against a half-node rule; it is an
+empirical estimate, not a proven bound.
 
 The slices are solved by Aberth iteration warm-started from nearby solved
 roots: every _SEED_STRIDE-th angle is a seed, the seeds are solved as a
@@ -52,7 +50,6 @@ from .volume import vol_array
 
 _BATCH_LIMIT = 1536  # cap on simultaneous Aberth rows, keeps temporaries small
 _SEED_STRIDE = 12  # angles per warm-start seed: near enough for few sweeps
-_BREAK_TOL = 1e-12  # a break this close to a kink angle covers it
 BRANCH_COLLISION_TOL = 1e-3
 
 
@@ -70,41 +67,29 @@ class _AmbiguousMatch(ContinuationError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Panel decomposition of [0, 2*pi] and per-panel Gauss node count."""
+    """Gauss node count per panel; m_oracle places the panels at the kinks."""
 
     nodes_per_panel: int = 64
-    panel_breaks: tuple = ()
 
     def __post_init__(self):
         # the error estimate compares against a rule with nodes // 2 nodes,
         # at least 2, which is the same rule when there are only 2
         if self.nodes_per_panel < 3:
             raise ValueError("need at least 3 nodes per panel")
-        br = self.panel_breaks
-        if len(br) < 2 or br[0] != 0.0 or abs(br[-1] - TWO_PI) > _BREAK_TOL:
-            raise ValueError("panel breaks must run from 0 to 2*pi")
-        if any(b2 <= b1 for b1, b2 in zip(br, br[1:])):
-            raise ValueError("panel breaks must be strictly increasing")
-
-
-def _kink_angles(d: int) -> list:
-    # (k, n, 2 pi k/n) for 0 < k < n, n = d+1, d+2: the x-angles of the
-    # torus zeros, where slice roots cross the unit circle
-    return [(k, n, TWO_PI * k / n) for n in (d + 1, d + 2) for k in range(1, n)]
 
 
 def default_config(spec: PdSpec, nodes_per_panel: int = 64) -> QuadratureConfig:
-    """Breaks at every angle 2 pi k/(d+1) and 2 pi k/(d+2) (kink locations)."""
-    angles = {0.0, TWO_PI} | {a for _, _, a in _kink_angles(spec.d)}
-    return QuadratureConfig(nodes_per_panel, tuple(sorted(angles)))
+    """The oracle's configuration; spec is not used, the panels depend on d."""
+    return QuadratureConfig(nodes_per_panel)
 
 
-def _require_breaks_cover(spec: PdSpec, cfg: QuadratureConfig) -> None:
-    # QuadratureConfig already pins the breaks to start at 0 and end at 2*pi
-    br = np.asarray(cfg.panel_breaks)
-    for k, n, a in _kink_angles(spec.d):
-        if np.min(np.abs(br - a)) > _BREAK_TOL:
-            raise ValueError(f"panel breaks miss the kink angle 2*pi*{k}/{n}")
+def _panel_breaks(d: int) -> list:
+    # 0, the kinks 2 pi k/n in (0, pi) for n = d+1, d+2 (the x-angles of
+    # the torus zeros, where slice roots cross the unit circle), then pi,
+    # which is a kink too since d+1 or d+2 is even
+    kinks = {TWO_PI * k / n
+             for n in (d + 1, d + 2) for k in range(1, (n + 1) // 2)}
+    return [0.0, *sorted(kinks), math.pi]
 
 
 def jensen_slice_measure(spec: PdSpec, theta: float) -> float:
@@ -180,18 +165,15 @@ def m_oracle(spec: PdSpec, cfg: QuadratureConfig | None = None) -> OracleResult:
     """(1/pi) integral over [0, pi] of the Jensen integrand, panel by panel.
 
     The integrand is even about pi, so this is the (1/2pi) integral over
-    [0, 2 pi].  Panels are the breaks below pi followed by pi itself, each
-    with Gauss-Legendre.  The error estimate is the summed absolute
-    difference of each panel against the half-node rule (reported, not
-    proven).
+    [0, 2 pi].  The panels break at every kink 2 pi k/(d+1) and
+    2 pi k/(d+2) below pi and end at pi, each with cfg.nodes_per_panel
+    Gauss-Legendre nodes (default_config when cfg is None).  The error
+    estimate is the summed absolute difference of each panel against the
+    half-node rule (reported, not proven).
     """
     if cfg is None:
         cfg = default_config(spec)
-    _require_breaks_cover(spec, cfg)
-    breaks = np.asarray(cfg.panel_breaks)
-    # pi is a kink (d+1 or d+2 is even), and the break covering it may sit an
-    # ulp below pi: it gives way to pi itself rather than leave a 1-ulp panel
-    breaks = np.append(breaks[breaks < math.pi - _BREAK_TOL], math.pi)
+    breaks = np.asarray(_panel_breaks(spec.d))
     lo, hi = breaks[:-1], breaks[1:]
     n_panels = lo.size
 

@@ -34,7 +34,6 @@ never hard-coded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,24 +116,6 @@ def cl2_array(theta: np.ndarray) -> np.ndarray:
     t = np.where(t > math.pi, TWO_PI - t, t)
     out = sign * _cl2_series(t, np.log(np.where(t > 0.0, t, 1.0)))
     return np.where(t > 0.0, out, 0.0)
-
-
-@dataclass(frozen=True)
-class Cl2Value:
-    """A Clausen value together with its absolute error bound."""
-
-    value: float
-    abs_error_bound: float
-
-
-def clausen(theta: float) -> Cl2Value:
-    """Cl2(theta) with error bound; odd under theta -> 2*pi - theta."""
-    return Cl2Value(cl2(theta), CL2_ERROR_BOUND)
-
-
-def bloch_wigner_on_circle(theta: float) -> Cl2Value:
-    """D(e^{i*theta}); alias of clausen so circle formulas map to one call."""
-    return clausen(theta)
 
 
 def bloch_wigner(z: complex) -> float:

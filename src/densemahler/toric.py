@@ -123,15 +123,6 @@ def enumerate_toric(spec: PdSpec, verify_residuals: bool = True) -> list:
     return points
 
 
-def omega(pt: ToricPoint) -> tuple:
-    """Exponent pair (k, k'); the point is above the diagonal iff k < k'."""
-    return pt.k, pt.k_prime
-
-
-def is_above_diagonal(pt: ToricPoint) -> bool:
-    return pt.k < pt.k_prime
-
-
 def epsilon(pt: ToricPoint) -> int:
     """Sign -sign(Im gamma) from the diagonal rule, +1 or -1."""
     if pt.modulus == pt.d + 1:

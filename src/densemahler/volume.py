@@ -120,24 +120,29 @@ def _require_on_torus(z: complex, name: str) -> None:
         raise ValueError(f"{name} = {z!r} is off the unit circle")
 
 
-def volume_v(spec: PdSpec, x: complex, y: complex) -> float:
-    """The volume function V(x, y) on the unit torus, d >= 2.
+def volume_v_array(spec: PdSpec, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """V(e^{i tx}, e^{i ty}) elementwise over arrays of angles, d >= 2.
 
     All six dilogarithm arguments have unit modulus, so each D reduces to a
-    Clausen value at the corresponding multiple of the input angles.
+    Clausen value at the corresponding multiple of the angles.
     """
+    d = spec.d
+    m = d + 1.0
+    first = (cl2_array(m * ty) - cl2_array(m * tx)
+             - cl2_array(m * (ty - tx))) / ((d + 1.0) * (d + 2.0))
+    second = (cl2_array(tx) - cl2_array(ty) - cl2_array(tx - ty)) / (d + 2.0)
+    return first + second
+
+
+def volume_v(spec: PdSpec, x: complex, y: complex) -> float:
+    """The volume function V(x, y) on the unit torus, d >= 2."""
     if spec.d < 2:
         raise ValueError("volume_v requires d >= 2; use volume_v1 for d = 1")
     x = complex(x)
     y = complex(y)
     _require_on_torus(x, "x")
     _require_on_torus(y, "y")
-    tx = cmath.phase(x)
-    ty = cmath.phase(y)
-    m = spec.d + 1
-    first = cl2(m * ty) - cl2(m * tx) - cl2(m * (ty - tx))
-    second = cl2(tx) - cl2(ty) - cl2(tx - ty)
-    return first / ((spec.d + 1) * (spec.d + 2)) + second / (spec.d + 2)
+    return float(volume_v_array(spec, cmath.phase(x), cmath.phase(y)))
 
 
 def volume_v1(x: complex) -> float:

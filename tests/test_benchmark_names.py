@@ -1,14 +1,17 @@
 """The benchmark in perfbench/ traces and calls package names by string.
 
 A rename or deletion in the package would only show when the benchmark runs,
-so this loads perfbench/run.py as it is and resolves every name it uses.
+so this loads perfbench/run.py as it is and resolves every name it uses, and
+checks the two signatures perfbench/tracing.py reads.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import densemahler
+from densemahler.mahler_oracle import default_config, m_oracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +38,11 @@ def test_benchmark_names_resolve(monkeypatch):
             missing.append(name)
     assert missing == []
     assert isinstance(densemahler.CL2_ERROR_BOUND, float)
+
+
+def test_introspected_signatures():
+    # perfbench/tracing.py reads the default node count off default_config
+    # and the config of an m_oracle call from its argument named cfg
+    nodes = inspect.signature(default_config).parameters["nodes_per_panel"]
+    assert isinstance(nodes.default, int)
+    assert "cfg" in inspect.signature(m_oracle).parameters

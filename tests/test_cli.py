@@ -162,9 +162,14 @@ def test_numeric_failure_exit_code(monkeypatch, capsys):
 
 
 def test_bad_thread_env(monkeypatch, capsys):
+    import densemahler.cli as cli
+
     monkeypatch.setenv("MAHLER_THREADS", "0")
     assert run_cli(["sweep", "--from", "1", "--to", "2"]) == 2
     capsys.readouterr()
+    # a huge value gets the default's ceiling; no pool is started here
+    monkeypatch.setenv("MAHLER_THREADS", "1000000")
+    assert cli._worker_count() == 32
 
 
 def test_entry_point_subprocess():

@@ -80,20 +80,19 @@ def test_jensen_integrand_mirror_symmetry(rng):
         assert np.max(np.abs(lower - upper)) <= d * ABERTH_NEWTON_TOL
 
 
-def test_unmirrored_breaks():
-    # extra breaks at 1.0 (below pi, a panel more) and 4.5 (above pi, not
-    # integrated); d = 20 puts its kink break at pi one ulp below pi
-    for d, half_panels in ((5, 6), (20, 21)):
+def test_panel_layout():
+    # one panel between consecutive kinks below pi, the torus-zero angles
+    # 2 pi k/n with 2k < n, and a last one ending at pi: d + 1 panels.  At
+    # d = 20, 21, 28, 29 the kink 2 pi (n/2)/n rounds one ulp below pi and
+    # must not leave a 1-ulp panel.
+    for d in (1, 3, 5, 20, 21, 28, 29):
         spec = PdSpec(d)
-        default = default_config(spec)
-        assert len(default.panel_breaks) - 1 == 2 * half_panels
-        cfg = QuadratureConfig(64, tuple(sorted(default.panel_breaks
-                                                + (1.0, 4.5))))
-        ref = m_oracle(spec, default)
-        got = m_oracle(spec, cfg)
-        assert ref.panels == half_panels
-        assert got.panels == half_panels + 1
-        assert abs(got.value - ref.value) <= 1e-13
+        breaks = mahler_oracle._panel_breaks(d)
+        kinks = {p.x_angle for p in enumerate_toric(spec)
+                 if 2 * p.k < p.modulus}
+        assert breaks == [0.0, *sorted(kinks), math.pi]
+        assert all(b1 < b2 for b1, b2 in zip(breaks, breaks[1:]))
+        assert m_oracle(spec).panels == d + 1
 
 
 def _mpmath_m(mpmath, d):
@@ -158,20 +157,9 @@ def test_seeded_blocks_match_cold_solves():
 
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
-        QuadratureConfig(1, (0.0, TWO_PI))
+        QuadratureConfig(1)
     with pytest.raises(ValueError):
-        QuadratureConfig(2, (0.0, TWO_PI))  # half-node rule = the rule
-    with pytest.raises(ValueError):
-        QuadratureConfig(8, (0.0, 1.0))  # does not reach 2*pi
-    with pytest.raises(ValueError):
-        QuadratureConfig(8, (0.0, 2.0, 1.0, TWO_PI))
-    cfg = default_config(PdSpec(3))
-    assert cfg.panel_breaks[0] == 0.0
-    assert abs(cfg.panel_breaks[-1] - TWO_PI) <= 1e-15
-    # breaks at all multiples of 2 pi/4 and 2 pi/5: 8 panels
-    assert len(cfg.panel_breaks) == 9
-    with pytest.raises(ValueError):
-        m_oracle(PdSpec(3), QuadratureConfig(8, (0.0, math.pi, TWO_PI)))
+        QuadratureConfig(2)  # half-node rule = the rule
 
 
 def test_singularity_placement_small_d():

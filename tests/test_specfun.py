@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from densemahler.specfun import (CL2_ERROR_BOUND, bloch_wigner,
-                                 bloch_wigner_on_circle, cl2, cl2_array,
-                                 clausen, clausen_series, reduce_angle, zeta3)
+from densemahler.specfun import (CL2_ERROR_BOUND, bloch_wigner, cl2,
+                                 cl2_array, clausen_series, reduce_angle,
+                                 zeta3)
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,30 +25,28 @@ CL2_MAX = 1.0149416064096536  # Cl2(pi/3), the maximum over [0, 2*pi)
 
 
 def test_trivial_angles():
-    assert clausen(0.0).value == 0.0
-    assert abs(clausen(math.pi).value) <= 1e-12
-    assert abs(clausen(TWO_PI).value) <= 1e-12
+    assert cl2(0.0) == 0.0
+    assert abs(cl2(math.pi)) <= 1e-12
+    assert abs(cl2(TWO_PI)) <= 1e-12
 
 
 def test_catalan_at_half_pi():
-    got = clausen(math.pi / 2)
-    assert abs(got.value - CATALAN) <= 1e-12
-    assert got.abs_error_bound <= 1e-12
+    assert abs(cl2(math.pi / 2) - CATALAN) <= 1e-12
+    assert CL2_ERROR_BOUND <= 1e-12
 
 
 def test_paper_value_two_thirds_pi():
     # 3 * Cl2(2*pi/3) is approximately 2.03
-    assert abs(3.0 * clausen(2.0 * math.pi / 3.0).value - 2.03) < 5e-3
+    assert abs(3.0 * cl2(2.0 * math.pi / 3.0) - 2.03) < 5e-3
 
 
 def test_bloch_wigner_alias():
-    theta = 0.7345
-    assert bloch_wigner_on_circle(theta).value == clausen(theta).value
-    assert abs(bloch_wigner_on_circle(math.pi / 3).value - CL2_MAX) <= 1e-12
+    # D(e^{i theta}) = Cl2(theta); the complex D is checked against cl2 in
+    # test_bloch_wigner_complex_identities
+    assert abs(cl2(math.pi / 3) - CL2_MAX) <= 1e-12
     # conjugation: D at 4*pi/3 is minus D at 2*pi/3
-    assert abs(bloch_wigner_on_circle(4 * math.pi / 3).value
-               + clausen(2 * math.pi / 3).value) <= 2e-12
-    assert abs(bloch_wigner_on_circle(TWO_PI).value) <= 1e-12
+    assert abs(cl2(4 * math.pi / 3) + cl2(2 * math.pi / 3)) <= 2e-12
+    assert abs(cl2(TWO_PI)) <= 1e-12
 
 
 def test_zeta3_value_and_tail():
@@ -98,7 +96,7 @@ def test_angle_reduction():
     with pytest.raises(ValueError):
         reduce_angle(math.inf)
     with pytest.raises(ValueError):
-        clausen(math.nan)
+        cl2(math.nan)
 
 
 def test_array_matches_scalar(rng):

@@ -7,8 +7,7 @@ import pytest
 
 from densemahler.polynomials import PdSpec, eval_pd
 from densemahler.toric import (RegularityError, ToricPoint, check_regularity,
-                               enumerate_toric, epsilon, is_above_diagonal,
-                               omega)
+                               enumerate_toric, epsilon)
 
 # sign table for d = 2 (both families), keyed by (k, k_prime, modulus)
 D2_EPSILON = {
@@ -62,14 +61,6 @@ def test_no_symmetric_point():
     for d in (1, 2, 3, 10, 25):
         assert all(p.k != p.k_prime
                    for p in enumerate_toric(PdSpec(d), verify_residuals=False))
-
-
-def test_omega_and_diagonal():
-    assert omega(ToricPoint(2, 1, 2, 3)) == (1, 2)
-    assert is_above_diagonal(ToricPoint(2, 1, 2, 3))
-    assert not is_above_diagonal(ToricPoint(2, 2, 1, 3))
-    assert omega(ToricPoint(3, 1, 3, 4)) == (1, 3)
-    assert is_above_diagonal(ToricPoint(3, 1, 3, 4))
 
 
 def test_epsilon_d2_table():
