@@ -15,8 +15,8 @@ from .mahler_closed import (METHOD_AGGREGATED, METHOD_ORACLE,
                             m_closed_pointwise, m_closed_volsum)
 from .mahler_oracle import (ContinuationError, CurveArc, OracleError,
                             OracleResult, QuadratureConfig, default_config,
-                            eta_path_integral, jensen_slice_measure, m_oracle,
-                            primitive_check, vol_integral_quadrature)
+                            eta_path_integral, m_oracle, primitive_check,
+                            vol_integral_quadrature)
 from .polynomials import (PdSpec, RootFindingError, SingularPointError,
                           UnivariateSlice, aberth_roots_batch, eval_pd,
                           eval_pd_array, eval_pd_rational, eval_partials,
@@ -24,8 +24,9 @@ from .polynomials import (PdSpec, RootFindingError, SingularPointError,
 from .specfun import (CL2_ERROR_BOUND, bloch_wigner, cl2, cl2_array,
                       clausen_series, reduce_angle, zeta3)
 from .toric import (RegularityError, RegularityReport, ToricPoint,
-                    check_regularity, enumerate_toric, epsilon)
+                    check_regularity, diagonal_sign, enumerate_toric, epsilon,
+                    toric_indices)
 from .volume import (Hessian2, in_triangle, vol, vol_array, vol_gradient,
-                     vol_hessian, volume_v, volume_v1)
+                     vol_hessian, volume_v)
 
 __version__ = "0.1.0"

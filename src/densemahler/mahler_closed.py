@@ -1,7 +1,9 @@
 """Closed-form Mahler measure of the family, by three equivalent routes.
 
 Route 1 (pointwise): m(P_d) = (1/2pi) * sum over toric points of
-eps(x,y) * V(x,y), the finite closed formula for regular exact polynomials.
+eps(x,y) * V(x,y), the finite closed formula for regular exact polynomials,
+taken over the index arrays of toric_indices with one formula for V at
+every d.
 
 Route 2 (vol-sum): grouping each point with its swap and using
 V = vol(...)/(d+2) on U_{d+1} (factor 1/(d+1) on U_{d+2}) turns the same sum
@@ -35,8 +37,8 @@ import numpy as np
 
 from .polynomials import PdSpec
 from .specfun import CL2_ERROR_BOUND, TWO_PI, cl2_array
-from .toric import enumerate_toric, epsilon
-from .volume import vol_array, volume_v1, volume_v_array
+from .toric import diagonal_sign, toric_indices
+from .volume import vol_array, volume_v_array
 
 METHOD_POINTWISE = "closed_pointwise"
 METHOD_VOLSUM = "closed_volsum"
@@ -88,15 +90,10 @@ def _pair_grid(n: int) -> tuple:
 def m_closed_pointwise(spec: PdSpec) -> MahlerEstimate:
     """(1/2pi) sum of eps * V over all toric points (the direct formula)."""
     d = spec.d
-    points = enumerate_toric(spec)
-    if d == 1:
-        total = sum(epsilon(pt) * volume_v1(pt.x) for pt in points)
-    else:
-        eps = np.array([epsilon(pt) for pt in points], dtype=float)
-        tx = np.array([pt.x_angle for pt in points])
-        ty = np.array([pt.y_angle for pt in points])
-        total = float(eps @ volume_v_array(spec, tx, ty))
-    bound = len(points) * CL2_ERROR_BOUND / TWO_PI
+    n, k, kp = toric_indices(spec)
+    eps = diagonal_sign(d, n, k, kp).astype(float)
+    total = float(eps @ volume_v_array(spec, TWO_PI * k / n, TWO_PI * kp / n))
+    bound = n.size * CL2_ERROR_BOUND / TWO_PI
     return MahlerEstimate(d, total / TWO_PI, METHOD_POINTWISE, bound)
 
 

@@ -25,10 +25,12 @@ primitive_check integrates the curve one-form
     eta = log|y| d arg(x) - log|x| d arg(y)
 
 along a tracked branch y(t) over the arc x(t) = r e^{it} and compares with
-the increment of the volume function V, whose differential eta is.  V off
-the unit torus needs the full Bloch-Wigner dilogarithm, supplied by specfun.
-Branch tracking is nearest-root continuation with step halving when the
-match margin degrades, and it refuses to cross near-collisions of roots.
+the increment of the volume function V, whose differential eta is; one
+formula for V serves every d >= 1.  V off the unit torus needs the full
+Bloch-Wigner dilogarithm, supplied by specfun.  Branch tracking starts from
+the root of least (real, imaginary) part at the start of the arc and is
+nearest-root continuation with step halving when the match margin degrades;
+it refuses to cross near-collisions of roots.
 
 vol_integral_quadrature evaluates the 2-D integral of vol over the triangle
 T by nested Gauss-Legendre with panels geometrically graded toward the
@@ -50,6 +52,7 @@ from .volume import vol_array
 
 _BATCH_LIMIT = 1536  # cap on simultaneous Aberth rows, keeps temporaries small
 _SEED_STRIDE = 12  # angles per warm-start seed: near enough for few sweeps
+_GRADING_DEPTH = 8  # vol_integral_quadrature's refinement levels per edge
 BRANCH_COLLISION_TOL = 1e-3
 
 
@@ -90,16 +93,6 @@ def _panel_breaks(d: int) -> list:
     kinks = {TWO_PI * k / n
              for n in (d + 1, d + 2) for k in range(1, (n + 1) // 2)}
     return [0.0, *sorted(kinks), math.pi]
-
-
-def jensen_slice_measure(spec: PdSpec, theta: float) -> float:
-    """sum_j log max(1, |y_j|) over roots of the slice at x = e^{i theta}.
-
-    The slice is monic, so Jensen's formula has no leading-coefficient term
-    and the result is nonnegative.
-    """
-    rts = roots(y_slice(spec, cmath.exp(1j * theta)))
-    return sum(max(0.0, math.log(abs(r))) for r in rts if r != 0)
 
 
 def _solve_slices(coeffs: np.ndarray, initial, thetas: np.ndarray) -> np.ndarray:
@@ -205,7 +198,6 @@ class CurveArc:
     t_start: float
     t_end: float
     steps: int = 10_000
-    branch_index: int = 0
 
     def __post_init__(self):
         if not (0.8 < self.radius < 1.25) or self.radius == 1.0:
@@ -218,8 +210,6 @@ class CurveArc:
 
 def _volume_complex(d: int, x: complex, y: complex) -> float:
     """V(x, y) off the torus, through the full Bloch-Wigner dilogarithm."""
-    if d == 1:
-        return -bloch_wigner(-x)
     m = d + 1
     first = (bloch_wigner(y ** m) - bloch_wigner(x ** m)
              - bloch_wigner((y / x) ** m))
@@ -248,9 +238,10 @@ def _match_branch(prev: complex, fibre: np.ndarray) -> complex:
 def _track_branch(spec: PdSpec, arc: CurveArc) -> tuple:
     """Roots along the fine grid (endpoints plus midpoints) on one branch.
 
-    Returns (t_grid, y_values) over 2*steps + 1 points.  When a nearest-root
-    match becomes ambiguous the step is halved on the fly (scalar re-solves)
-    up to a fixed depth.
+    Returns (t_grid, y_values) over 2*steps + 1 points, starting from the
+    root of least (real, imaginary) part.  When a nearest-root match becomes
+    ambiguous the step is halved on the fly (scalar re-solves) up to a fixed
+    depth.
     """
     m = 2 * arc.steps + 1
     t = np.linspace(arc.t_start, arc.t_end, m)
@@ -258,10 +249,8 @@ def _track_branch(spec: PdSpec, arc: CurveArc) -> tuple:
     for lo, hi, rts in _slice_root_blocks(spec, arc.radius * np.exp(1j * t), t):
         fibres[lo:hi] = rts
 
-    start_order = sorted(range(spec.d),
-                         key=lambda i: (fibres[0][i].real, fibres[0][i].imag))
     y = np.empty(m, dtype=complex)
-    y[0] = fibres[0][start_order[arc.branch_index]]
+    y[0] = min(fibres[0], key=lambda r: (r.real, r.imag))
     for i in range(1, m):
         try:
             y[i] = _match_branch(y[i - 1], fibres[i])
@@ -333,13 +322,13 @@ def _graded_unit_rule(nodes: int, depth: int) -> tuple:
             np.concatenate([wts, wts[::-1]]))
 
 
-def vol_integral_quadrature(nodes: int = 64, grading_depth: int = 8) -> float:
+def vol_integral_quadrature(nodes: int = 64) -> float:
     """2-D integral of vol over the triangle; must match 6 pi zeta(3).
 
     Outer integral in alpha over [0, 2*pi], inner in theta over
     [0, 2*pi - alpha], both with the graded composite Gauss rule.
     """
-    u, wu = _graded_unit_rule(nodes, grading_depth)
+    u, wu = _graded_unit_rule(nodes, _GRADING_DEPTH)
     alpha = TWO_PI * u
     w_alpha = TWO_PI * wu
     length = TWO_PI - alpha

@@ -175,7 +175,6 @@ def _polyval_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def aberth_roots_batch(coeffs: np.ndarray,
                        max_iter: int = ABERTH_MAX_ITER,
-                       newton_tol: float = ABERTH_NEWTON_TOL,
                        initial: np.ndarray | None = None) -> np.ndarray:
     """All roots of a batch of same-degree polynomials, Aberth-Ehrlich.
 
@@ -183,7 +182,8 @@ def aberth_roots_batch(coeffs: np.ndarray,
     column.  Initial guesses sit on the Fujiwara root-bound circle with a
     fixed angular offset, or come from `initial` (shape (D,) or (B, D), e.g.
     the solved roots of a nearby polynomial); the iteration is simultaneous,
-    deterministic, and stops when every correction falls below newton_tol.
+    deterministic, and stops when every correction falls below
+    ABERTH_NEWTON_TOL.
 
     Raises RootFindingError when the iteration cap is reached.
     """
@@ -224,7 +224,7 @@ def aberth_roots_batch(coeffs: np.ndarray,
         w = np.where(stalled, 0.0, p / np.where(stalled, 1.0, denom))
         out[active] = z - w
         # freeze converged rows; polynomials in a batch are independent
-        still = np.max(np.abs(w), axis=1) >= newton_tol
+        still = np.max(np.abs(w), axis=1) >= ABERTH_NEWTON_TOL
         active = active[still]
         if active.size == 0:
             return out

@@ -14,10 +14,12 @@ exponent pair lies:
     n = d + 1:  k < k' -> eps = -1,   k > k' -> eps = +1
     n = d + 2:  k < k' -> eps = +1,   k > k' -> eps = -1
 
-Enumeration uses this closed description; a residual check |P_d| <= 1e-10 at
-every produced point guards against implementation slips, and
-check_regularity recomputes gamma numerically to confirm Im gamma never
-vanishes and that the sign table above matches it pointwise.
+toric_indices builds the points as int arrays (modulus, k, k') with numpy
+from this closed description and always checks |P_d| <= 1e-10 at every one
+of them, to guard against implementation slips; diagonal_sign is the table
+above, elementwise on those arrays.  check_regularity recomputes gamma
+numerically to confirm Im gamma never vanishes and that the sign table
+matches it pointwise.
 """
 
 from __future__ import annotations
@@ -82,16 +84,13 @@ class RegularityReport:
     min_abs_im_gamma: float
 
 
-def _guard_residuals(spec: PdSpec, points: list) -> np.ndarray:
+def _guard_residuals(d: int, n: np.ndarray, k: np.ndarray,
+                     kp: np.ndarray) -> np.ndarray:
     # |P_d| from the rational form with root-of-unity powers reduced by
     # integer modular arithmetic, so the d-fold power loses no accuracy:
     # P_d = [x (y^{d+1} - x^{d+1})/(y - x) - (y^{d+1} - 1)/(y - 1)] / (x - 1).
     # Plain Horner evaluation drifts past 1e-10 for d of a few hundred, which
     # would fail the guard on points that are exact zeros.
-    d = spec.d
-    k = np.array([p.k for p in points])
-    kp = np.array([p.k_prime for p in points])
-    n = np.array([p.modulus for p in points])
     x = np.exp(2j * math.pi * (k / n))
     y = np.exp(2j * math.pi * (kp / n))
     x_pow = np.exp(2j * math.pi * (((d + 1) * k) % n) / n)
@@ -100,34 +99,47 @@ def _guard_residuals(spec: PdSpec, points: list) -> np.ndarray:
     return np.abs(val)
 
 
-def enumerate_toric(spec: PdSpec, verify_residuals: bool = True) -> list:
-    """All toric points of P_d, ordered by (modulus, k, k_prime).
+def toric_indices(spec: PdSpec) -> tuple:
+    """Int arrays (modulus, k, k') of all toric points, in that sort order.
 
-    The count is d(d-1) + (d+1)d.  With verify_residuals the closed
-    enumeration is guarded by checking |P_d| <= 1e-10 at every point.
+    The count is d(d-1) + (d+1)d.  Every point is checked to satisfy
+    |P_d| <= TORIC_RESIDUAL_TOL; an AssertionError names the first point
+    that does not.
     """
     d = spec.d
-    points = []
+    blocks = []
     for n in (d + 1, d + 2):
-        for k in range(1, n):
-            for kp in range(1, n):
-                if k != kp:
-                    points.append(ToricPoint(d, k, kp, n))
-    if verify_residuals and points:
-        residuals = _guard_residuals(spec, points)
-        worst = int(np.argmax(residuals))
-        if residuals[worst] > TORIC_RESIDUAL_TOL:
-            raise AssertionError(
-                f"enumerated point {points[worst]} has residual "
-                f"{residuals[worst]:.3e} > {TORIC_RESIDUAL_TOL}")
-    return points
+        i, j = np.nonzero(~np.eye(n - 1, dtype=bool))
+        blocks.append((np.full(i.size, n), i + 1, j + 1))
+    n, k, kp = (np.concatenate(col) for col in zip(*blocks))
+    residuals = _guard_residuals(d, n, k, kp)
+    worst = int(np.argmax(residuals))
+    if residuals[worst] > TORIC_RESIDUAL_TOL:
+        raise AssertionError(
+            f"enumerated point (n, k, k') = ({n[worst]}, {k[worst]}, "
+            f"{kp[worst]}) has residual {residuals[worst]:.3e} > "
+            f"{TORIC_RESIDUAL_TOL}")
+    return n, k, kp
+
+
+def enumerate_toric(spec: PdSpec) -> list:
+    """All toric points of P_d as ToricPoints, ordered by (modulus, k, k_prime)."""
+    n, k, kp = toric_indices(spec)
+    return [ToricPoint(spec.d, *idx)
+            for idx in zip(k.tolist(), kp.tolist(), n.tolist())]
+
+
+def diagonal_sign(d: int, n, k, kp):
+    """The sign table: -1 or +1 for modulus n and exponents k, k'.
+
+    Elementwise on int arrays as on Python ints.
+    """
+    return 1 - 2 * ((n == d + 1) == (k < kp))
 
 
 def epsilon(pt: ToricPoint) -> int:
     """Sign -sign(Im gamma) from the diagonal rule, +1 or -1."""
-    if pt.modulus == pt.d + 1:
-        return -1 if pt.k < pt.k_prime else 1
-    return 1 if pt.k < pt.k_prime else -1
+    return diagonal_sign(pt.d, pt.modulus, pt.k, pt.k_prime)
 
 
 def check_regularity(spec: PdSpec,

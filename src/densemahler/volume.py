@@ -1,12 +1,14 @@
 """Volume function of the curve and the two-angle function on the triangle.
 
-For d >= 2 the primitive of the curve one-form eta on the zero set of P_d is
+For every d >= 1 the primitive of the curve one-form eta on the zero set
+of P_d is
 
     V(x, y) = [D(y^{d+1}) - D(x^{d+1}) - D((y/x)^{d+1})] / ((d+1)(d+2))
             + [D(x) - D(y) - D(x/y)] / (d+2),
 
-with D the Bloch-Wigner dilogarithm; for d = 1 a primitive is -D(-x).  On
-torus points the bracket structure collapses to the two-angle function
+with D the Bloch-Wigner dilogarithm; on the d = 1 curve 1 + x + y = 0 it
+equals the classical primitive -D(-x).  On torus points the bracket
+structure collapses to the two-angle function
 
     vol(theta, alpha) = Cl2(theta) + Cl2(alpha) - Cl2(theta + alpha)
 
@@ -121,7 +123,7 @@ def _require_on_torus(z: complex, name: str) -> None:
 
 
 def volume_v_array(spec: PdSpec, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """V(e^{i tx}, e^{i ty}) elementwise over arrays of angles, d >= 2.
+    """V(e^{i tx}, e^{i ty}) elementwise over arrays of angles.
 
     All six dilogarithm arguments have unit modulus, so each D reduces to a
     Clausen value at the corresponding multiple of the angles.
@@ -135,18 +137,10 @@ def volume_v_array(spec: PdSpec, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
 
 
 def volume_v(spec: PdSpec, x: complex, y: complex) -> float:
-    """The volume function V(x, y) on the unit torus, d >= 2."""
-    if spec.d < 2:
-        raise ValueError("volume_v requires d >= 2; use volume_v1 for d = 1")
+    """The volume function V(x, y) on the unit torus."""
     x = complex(x)
     y = complex(y)
     _require_on_torus(x, "x")
     _require_on_torus(y, "y")
     return float(volume_v_array(spec, cmath.phase(x), cmath.phase(y)))
 
-
-def volume_v1(x: complex) -> float:
-    """Volume function for d = 1: -D(-x) on the unit circle."""
-    x = complex(x)
-    _require_on_torus(x, "x")
-    return -cl2(cmath.phase(-x))

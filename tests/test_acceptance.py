@@ -155,7 +155,7 @@ def test_criterion_8_toric_structure():
                         found.add((k, kp, n))
         brute_ok &= found == expected
     count_ok = all(
-        len(enumerate_toric(PdSpec(d), verify_residuals=False))
+        len(enumerate_toric(PdSpec(d)))
         == d * (d - 1) + (d + 1) * d
         for d in range(1, 51))
     min_im = math.inf

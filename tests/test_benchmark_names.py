@@ -2,16 +2,18 @@
 
 A rename or deletion in the package would only show when the benchmark runs,
 so this loads perfbench/run.py as it is and resolves every name it uses, and
-checks the two signatures perfbench/tracing.py reads.
+checks the two signatures perfbench/tracing.py reads and the CurveArc
+fields perfbench/worker.py passes by position.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
 import densemahler
-from densemahler.mahler_oracle import default_config, m_oracle
+from densemahler.mahler_oracle import CurveArc, default_config, m_oracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +48,9 @@ def test_introspected_signatures():
     nodes = inspect.signature(default_config).parameters["nodes_per_panel"]
     assert isinstance(nodes.default, int)
     assert "cfg" in inspect.signature(m_oracle).parameters
+
+
+def test_curve_arc_positional_fields():
+    # perfbench/worker.py builds CurveArc(radius, t0, t1, steps) by position
+    names = [f.name for f in dataclasses.fields(CurveArc)]
+    assert names[:4] == ["radius", "t_start", "t_end", "steps"]

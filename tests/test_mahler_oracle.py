@@ -13,8 +13,7 @@ from densemahler.mahler_closed import m_closed_volsum
 from densemahler.mahler_oracle import (ContinuationError, CurveArc,
                                        OracleError, QuadratureConfig,
                                        default_config,
-                                       eta_path_integral,
-                                       jensen_slice_measure, m_oracle,
+                                       eta_path_integral, m_oracle,
                                        primitive_check,
                                        vol_integral_quadrature)
 from densemahler.polynomials import (ABERTH_NEWTON_TOL, PdSpec,
@@ -26,17 +25,21 @@ from densemahler.volume import vol
 TWO_PI = 2.0 * math.pi
 
 
+def _jensen(d, *thetas):
+    return mahler_oracle._jensen_values(PdSpec(d), np.array(thetas))
+
+
 def test_jensen_examples():
-    assert abs(jensen_slice_measure(PdSpec(1), 0.0) - math.log(2.0)) <= 1e-12
-    assert jensen_slice_measure(PdSpec(1), math.pi) == 0.0
+    at_0, at_pi = _jensen(1, 0.0, math.pi)
+    assert abs(at_0 - math.log(2.0)) <= 1e-12
+    assert at_pi == 0.0
     # x = -1 gives the slice y^2 + 1 with both roots on the circle
-    assert abs(jensen_slice_measure(PdSpec(2), math.pi)) <= 1e-12
+    assert abs(_jensen(2, math.pi)[0]) <= 1e-12
 
 
 def test_jensen_nonnegative(rng):
     for d in (1, 3, 6):
-        for t in rng.uniform(0.0, TWO_PI, 25):
-            assert jensen_slice_measure(PdSpec(d), t) >= 0.0
+        assert np.all(_jensen(d, *rng.uniform(0.0, TWO_PI, 25)) >= 0.0)
 
 
 def test_oracle_values():
@@ -178,7 +181,7 @@ def test_singularity_placement_small_d():
 
 
 def test_primitive_check_arcs():
-    for d in (2, 3, 5):
+    for d in (1, 2, 3, 5):
         arc = CurveArc(radius=0.9, t_start=0.2, t_end=1.0)
         data = eta_path_integral(PdSpec(d), arc)
         dv = data["v_end"] - data["v_start"]

@@ -104,7 +104,7 @@ def test_gauss_map_simplifications_at_toric_points():
     # on U_{d+1} the map equals -x(1-y)/(y(1-x)); on U_{d+2} it is -(1-y)/(1-x)
     for d in range(1, 31):
         spec = PdSpec(d)
-        for pt in enumerate_toric(spec, verify_residuals=False):
+        for pt in enumerate_toric(spec):
             g = gauss_map(spec, pt.x, pt.y)
             if pt.modulus == d + 1:
                 simple = -pt.x * (1 - pt.y) / (pt.y * (1 - pt.x))

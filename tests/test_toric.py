@@ -2,12 +2,16 @@
 
 import cmath
 import math
+import re
 
 import pytest
 
+from densemahler import toric
+from densemahler.mahler_closed import m_closed_pointwise
 from densemahler.polynomials import PdSpec, eval_pd
 from densemahler.toric import (RegularityError, ToricPoint, check_regularity,
-                               enumerate_toric, epsilon)
+                               diagonal_sign, enumerate_toric, epsilon,
+                               toric_indices)
 
 # sign table for d = 2 (both families), keyed by (k, k_prime, modulus)
 D2_EPSILON = {
@@ -28,7 +32,7 @@ def test_counts_small():
 
 def test_count_formula_up_to_50():
     for d in range(1, 51):
-        pts = enumerate_toric(PdSpec(d), verify_residuals=(d <= 20))
+        pts = enumerate_toric(PdSpec(d))
         assert len(pts) == d * (d - 1) + (d + 1) * d
 
 
@@ -36,7 +40,7 @@ def test_residual_invariant(rng):
     # plain evaluation vanishes at every enumerated point (moderate d)
     for d in (1, 2, 5, 13, 30, 50):
         spec = PdSpec(d)
-        pts = enumerate_toric(spec, verify_residuals=False)
+        pts = enumerate_toric(spec)
         take = rng.choice(len(pts), size=min(len(pts), 120), replace=False)
         for i in take:
             assert abs(eval_pd(spec, pts[i].x, pts[i].y)) <= 1e-10
@@ -60,7 +64,7 @@ def test_brute_force_equivalence_small_d():
 def test_no_symmetric_point():
     for d in (1, 2, 3, 10, 25):
         assert all(p.k != p.k_prime
-                   for p in enumerate_toric(PdSpec(d), verify_residuals=False))
+                   for p in enumerate_toric(PdSpec(d)))
 
 
 def test_epsilon_d2_table():
@@ -75,10 +79,27 @@ def test_epsilon_d1():
 
 
 def test_epsilon_antisymmetry():
-    for d in (2, 3, 7, 12):
-        for p in enumerate_toric(PdSpec(d), verify_residuals=False):
+    for d in (1, 2, 3, 7, 12):
+        pts = enumerate_toric(PdSpec(d))
+        for p in pts:
             swapped = ToricPoint(d, p.k_prime, p.k, p.modulus)
             assert epsilon(swapped) == -epsilon(p)
+        # the elementwise rule on the index arrays agrees point by point
+        n, k, kp = toric_indices(PdSpec(d))
+        assert [(p.modulus, p.k, p.k_prime) for p in pts] == list(
+            zip(n.tolist(), k.tolist(), kp.tolist()))
+        assert diagonal_sign(d, n, k, kp).tolist() == [epsilon(p) for p in pts]
+
+
+def test_residual_guard_names_point(monkeypatch):
+    # with a negative tolerance every point fails the always-on guard
+    monkeypatch.setattr(toric, "TORIC_RESIDUAL_TOL", -1.0)
+    named = r"\(n, k, k'\) = \((\d+), (\d+), (\d+)\)"
+    for route in (enumerate_toric, m_closed_pointwise):
+        with pytest.raises(AssertionError, match=named) as info:
+            route(PdSpec(2))
+        n, k, kp = map(int, re.search(named, str(info.value)).groups())
+        assert (k, kp, n) in D2_EPSILON
 
 
 def test_point_validation():

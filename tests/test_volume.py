@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import interior_triangle_points
+from densemahler.mahler_oracle import _volume_complex
 from densemahler.polynomials import PdSpec
-from densemahler.specfun import cl2
+from densemahler.specfun import bloch_wigner, cl2
 from densemahler.toric import enumerate_toric
 from densemahler.volume import (Hessian2, in_triangle, vol, vol_array,
-                                vol_gradient, vol_hessian, volume_v,
-                                volume_v1)
+                                vol_gradient, vol_hessian, volume_v)
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,7 +138,7 @@ def test_volume_bridge_to_vol():
     # V = vol(2k pi/n, 2(k'-k) pi/n) / factor for k < k', negated under swap
     for d in range(2, 21):
         spec = PdSpec(d)
-        for pt in enumerate_toric(spec, verify_residuals=False):
+        for pt in enumerate_toric(spec):
             if pt.k >= pt.k_prime:
                 continue
             n = pt.modulus
@@ -153,17 +153,16 @@ def test_volume_bridge_to_vol():
 def test_volume_v_domain():
     with pytest.raises(ValueError):
         volume_v(PdSpec(2), 1.5, 1.0)
-    with pytest.raises(ValueError):
-        volume_v(PdSpec(1), 1.0, 1.0)  # d = 1 has its own primitive
 
 
-def test_volume_v1_examples():
-    x = cmath.exp(2j * math.pi / 3)
-    assert abs(volume_v1(x) - cl2(math.pi / 3)) <= 1e-12
-    assert abs(volume_v1(1.0)) <= 1e-12
-    assert abs(volume_v1(-1.0)) <= 1e-12
-    with pytest.raises(ValueError):
-        volume_v1(0.5)
+def test_volume_v_d1_is_classical_primitive(rng):
+    # on the d = 1 curve 1 + x + y = 0 the general V is -D(-x)
+    log_r = rng.uniform(0.1, 1.0, 40) * rng.choice([-1.0, 1.0], 40)
+    for x in np.exp(log_r + 1j * rng.uniform(0.0, TWO_PI, 40)):
+        x = complex(x)
+        assert abs(_volume_complex(1, x, -1.0 - x) + bloch_wigner(-x)) <= 1e-12
+    w = cmath.exp(2j * math.pi / 3)
+    assert abs(volume_v(PdSpec(1), w, w * w) - cl2(math.pi / 3)) <= 1e-12
 
 
 def test_hessian_dataclass():
