@@ -18,14 +18,14 @@ from .mahler_oracle import (ContinuationError, CurveArc, OracleError,
                             eta_path_integral, m_oracle, primitive_check,
                             vol_integral_quadrature)
 from .polynomials import (PdSpec, RootFindingError, SingularPointError,
-                          UnivariateSlice, aberth_roots_batch, eval_pd,
-                          eval_pd_array, eval_pd_rational, eval_partials,
-                          gauss_map, roots, y_slice)
+                          aberth_roots_batch, eval_pd, eval_pd_array,
+                          eval_pd_rational, eval_partials, gauss_map, roots,
+                          y_slice)
 from .specfun import (CL2_ERROR_BOUND, bloch_wigner, cl2, cl2_array,
-                      clausen_series, reduce_angle, zeta3)
+                      clausen_series, zeta3)
 from .toric import (RegularityError, RegularityReport, ToricPoint,
                     check_regularity, diagonal_sign, enumerate_toric, epsilon,
-                    toric_indices)
+                    toric_gamma, toric_indices)
 from .volume import (Hessian2, in_triangle, vol, vol_array, vol_gradient,
                      vol_hessian, volume_v)
 

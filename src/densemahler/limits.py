@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mahler_closed import grid_weight_sum, m_closed_aggregated
+from .mahler_closed import _pair_grid, grid_weight_sum, m_closed_aggregated
 from .polynomials import PdSpec
 from .specfun import TWO_PI, zeta3
 from .volume import in_triangle, vol_array
@@ -66,9 +66,7 @@ def error_E(n: int) -> float:
 
 def square_centers(n: int) -> np.ndarray:
     """Centers (2k pi/n, 2j pi/n), k, j >= 1, k + j <= n - 1, shape (S, 2)."""
-    ks, js = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
-    keep = ks + js <= n - 1
-    return np.column_stack([ks[keep], js[keep]]) * (TWO_PI / n)
+    return np.column_stack(_pair_grid(n))
 
 
 def in_blue(theta: np.ndarray, alpha: np.ndarray, n: int) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .polynomials import PdSpec
 from .specfun import CL2_ERROR_BOUND, TWO_PI, cl2_array
-from .toric import diagonal_sign, toric_indices
+from .toric import _require_quadratic_d, diagonal_sign, toric_indices
 from .volume import vol_array, volume_v_array
 
 METHOD_POINTWISE = "closed_pointwise"
@@ -80,7 +80,8 @@ def grid_weight_sum(n: int) -> float:
 
 
 def _pair_grid(n: int) -> tuple:
-    # exponent pairs 0 < k < k' <= n-1 mapped to (theta, alpha) grid angles
+    # exponent pairs 0 < k < k' <= n-1 mapped to (theta, alpha) grid angles,
+    # also the lattice of limits.square_centers
     i, jj = np.triu_indices(n - 1, k=1)
     k = i + 1.0
     kp = jj + 1.0
@@ -98,8 +99,9 @@ def m_closed_pointwise(spec: PdSpec) -> MahlerEstimate:
 
 
 def m_closed_volsum(spec: PdSpec) -> MahlerEstimate:
-    """The two explicit pair sums over vol at rational multiples of 2*pi."""
+    """The two explicit pair sums over vol; d <= toric.MAX_QUADRATIC_D."""
     d = spec.d
+    _require_quadratic_d(d)
     c1 = -2.0 / (d + 2.0)
     c2 = 2.0 / (d + 1.0)
     n_pairs1 = (d - 1) * d // 2

@@ -4,8 +4,8 @@ The family is P_d(x, y) = sum over all monomials x^i y^j with i + j <= d.
 Grouping by powers of y gives P_d = sum_j y^j * S_{d-j}(x) with the geometric
 column sums S_m(x) = 1 + x + ... + x^m, so one Horner pass in y that grows the
 S_m incrementally evaluates P_d in O(d) operations.  The same scheme gives the
-partial derivatives and the univariate y-slices whose roots feed the Jensen
-quadrature oracle.
+partial derivatives and the Gauss map, elementwise over arrays of points, and
+the y-slices (coefficient rows) whose roots feed the Jensen quadrature oracle.
 
 Away from the removable singularities the identity
 
@@ -62,21 +62,6 @@ class PdSpec:
         return (self.d + 1) * (self.d + 2) // 2
 
 
-@dataclass(frozen=True)
-class UnivariateSlice:
-    """Coefficients of y -> P_d(x0, y), ascending powers, leading term 1."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        if len(self.coefficients) < 2:
-            raise ValueError("slice must have degree >= 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
 def eval_pd(spec: PdSpec, x: complex, y: complex) -> complex:
     """P_d(x, y) by the double-Horner scheme, O(d) operations."""
     return complex(eval_pd_array(spec, x, y))
@@ -110,40 +95,51 @@ def eval_pd_rational(spec: PdSpec, x: complex, y: complex) -> complex:
     return num / ((x - 1.0) * (y - 1.0) * (x - y))
 
 
-def _partial_x(d: int, x: complex, y: complex) -> complex:
+def _partial_x(d: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # dP_d/dx = sum_j y^j T_{d-j}(x) with T_m = sum_{i=1}^m i x^{i-1};
     # Horner in y while growing T_m and the power tracker together.
-    t = 0.0 + 0.0j
-    xp = 1.0 + 0.0j
+    t = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+    xp = np.ones_like(t)
     acc = t
     for m in range(1, d + 1):
         t = t + m * xp
-        xp *= x
+        xp = xp * x
         acc = acc * y + t
     return acc
 
 
-def eval_partials(spec: PdSpec, x: complex, y: complex) -> tuple:
-    """(dP_d/dx, dP_d/dy); the y-partial uses the x-partial on swapped args."""
-    x = complex(x)
-    y = complex(y)
-    return _partial_x(spec.d, x, y), _partial_x(spec.d, y, x)
+def _as_points(x, y) -> tuple:
+    # numpy rounds a product of two complex scalars differently from the same
+    # product in an array, so a point runs as a one-element array
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    x, y = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (x, y))
+    return x, y, shape
 
 
-def gauss_map(spec: PdSpec, x: complex, y: complex) -> complex:
-    """Logarithmic Gauss map (x * dP/dx) / (y * dP/dy) at a curve point."""
-    px, py = eval_partials(spec, x, y)
-    num = x * px
-    den = y * py
-    if abs(den) <= 1e-12 * max(1.0, abs(num)):
+def eval_partials(spec: PdSpec, x, y) -> tuple:
+    """(dP_d/dx, dP_d/dy) elementwise; the y-partial swaps the arguments."""
+    x, y, shape = _as_points(x, y)
+    return (_partial_x(spec.d, x, y).reshape(shape)[()],
+            _partial_x(spec.d, y, x).reshape(shape)[()])
+
+
+def gauss_map(spec: PdSpec, x, y):
+    """Logarithmic Gauss map (x dP/dx) / (y dP/dy), elementwise; a
+    SingularPointError names the first point where y dP/dy vanishes."""
+    x, y, shape = _as_points(x, y)
+    num, den = x * _partial_x(spec.d, x, y), y * _partial_x(spec.d, y, x)
+    singular = np.abs(den) <= 1e-12 * np.maximum(1.0, np.abs(num))
+    if np.any(singular):
+        i = int(np.argmax(singular))
+        xi, yi = (complex(v.flat[i]) for v in np.broadcast_arrays(x, y))
         raise SingularPointError(
-            f"y*dP/dy vanishes at (x, y) = ({x!r}, {y!r}) for d = {spec.d}")
-    return num / den
+            f"y*dP/dy vanishes at (x, y) = ({xi!r}, {yi!r}) for d = {spec.d}")
+    return (num / den).reshape(shape)[()]
 
 
-def y_slice(spec: PdSpec, x0: complex) -> UnivariateSlice:
-    """Univariate slice y -> P_d(x0, y); coefficient of y^j is S_{d-j}(x0)."""
-    return UnivariateSlice(tuple(slice_coeff_matrix(spec, complex(x0))[0].tolist()))
+def y_slice(spec: PdSpec, x0: complex) -> np.ndarray:
+    """Coefficients S_d(x0), ..., S_0 = 1 of y -> P_d(x0, y), ascending."""
+    return slice_coeff_matrix(spec, complex(x0))[0]
 
 
 def slice_coeff_matrix(spec: PdSpec, x0: np.ndarray) -> np.ndarray:
@@ -234,15 +230,18 @@ def aberth_roots_batch(coeffs: np.ndarray,
         f"for {active.size} polynomial(s)", worst)
 
 
-def roots(slice_: UnivariateSlice) -> list:
-    """All degree-many roots of a slice, with multiplicity.
+def roots(coefficients) -> list:
+    """All degree-many roots of a polynomial, with multiplicity.
 
+    coefficients are in ascending powers (a y_slice row, say), degree >= 1.
     Zero roots (vanishing low-order coefficients) are split off exactly; the
     rest come from the Aberth solver.  Every returned root satisfies
     |p(root)| <= 1e-10 * (1 + max |coefficient|), otherwise a
     RootFindingError is raised.  Order is deterministic for identical input.
     """
-    c = np.asarray(slice_.coefficients, dtype=complex)
+    c = np.asarray(coefficients, dtype=complex)
+    if c.ndim != 1 or c.size < 2:
+        raise ValueError("need the coefficients of a polynomial of degree >= 1")
     n_zero = 0
     while n_zero < c.size - 1 and c[n_zero] == 0:
         n_zero += 1

@@ -15,7 +15,8 @@ theta to [0, pi] (2*pi periodicity plus oddness) and sums the expansion
 obtained by integrating log(2*sin(t/2)) = log(t) - sum zeta(2n) (t/2pi)^(2n)/n
 term by term.  At the slowest point t = pi the series ratio is 1/4, so the
 fixed 32-term truncation leaves a tail below 1e-18; double rounding dominates
-and every value carries an absolute error bound of 5e-13.
+and every value carries an absolute error bound of 5e-13.  cl2_array is the one
+kernel; the scalar cl2 runs it on one angle and matches it bitwise.
 
 The full complex-argument D(z) is evaluated through the triangle identity
 
@@ -70,58 +71,35 @@ def zeta3() -> float:
     return _ZETA3
 
 
-def reduce_angle(theta: float) -> float:
-    """Map any finite angle to the canonical range [0, 2*pi)."""
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta!r}")
-    r = math.fmod(theta, TWO_PI)
-    if r < 0.0:
-        r += TWO_PI
-    if r >= TWO_PI:
-        # fmod result just below 2*pi can round up to 2*pi after the shift
-        r = 0.0
-    return r
-
-
-def _cl2_series(t, log_t):
-    # Cl2(t) for t in (0, pi] from the 32-term series, given log(t); the
-    # same Horner pass serves a float (cl2) and an array (cl2_array)
-    x = (t / TWO_PI) ** 2
-    s = 0.0
-    for c in reversed(_CL2_COEFFS):
-        s = s * x + c
-    return t * (1.0 - log_t + x * s)
-
-
-def cl2(theta: float) -> float:
-    """Clausen function Cl2(theta) as a plain float (the fast path)."""
-    t = reduce_angle(theta)
-    sign = 1.0
-    if t > math.pi:
-        t = TWO_PI - t
-        sign = -1.0
-    if t == 0.0:
-        return 0.0
-    return sign * _cl2_series(t, math.log(t))
-
-
 def cl2_array(theta: np.ndarray) -> np.ndarray:
-    """Vectorized Cl2 over an array of angles (same algorithm as cl2)."""
+    """Cl2 elementwise over an array of angles (any shape, 0-d included)."""
     th = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("angles must be finite")
+    # a tiny negative angle reduces to exactly 2*pi, then folds to 0 below
     t = np.mod(th, TWO_PI)
-    t = np.where(t >= TWO_PI, 0.0, t)
     sign = np.where(t > math.pi, -1.0, 1.0)
     t = np.where(t > math.pi, TWO_PI - t, t)
-    out = sign * _cl2_series(t, np.log(np.where(t > 0.0, t, 1.0)))
+    # the series on (0, pi], log masked at t = 0; x * x, since x ** 2 on a
+    # numpy scalar goes through pow(), which can round unlike an array square
+    x = t / TWO_PI
+    x = x * x
+    s = 0.0
+    for c in reversed(_CL2_COEFFS):
+        s = s * x + c
+    out = sign * t * (1.0 - np.log(np.where(t > 0.0, t, 1.0)) + x * s)
     return np.where(t > 0.0, out, 0.0)
+
+
+def cl2(theta: float) -> float:
+    """Clausen function Cl2(theta) as a plain float: cl2_array on one angle."""
+    return float(cl2_array(theta))
 
 
 def bloch_wigner(z: complex) -> float:
     """Bloch-Wigner dilogarithm D(z) for arbitrary complex z.
 
-    Absolute error is a few 1e-12 (three Clausen calls).  D vanishes on the
+    Absolute error is a few 1e-12 (three Clausen values, one cl2_array call).  D vanishes on the
     real axis and satisfies D(conj z) = -D(z), D(1/z) = -D(z), D(1-z) = -D(z).
     """
     z = complex(z)
@@ -137,7 +115,8 @@ def bloch_wigner(z: complex) -> float:
         z = z / r2
     a = math.atan2(z.imag, z.real)
     b = math.atan2(z.imag, 1.0 - z.real)
-    return 0.5 * (cl2(2.0 * a) + cl2(2.0 * b) - cl2(2.0 * (a + b)))
+    cl_a, cl_b, cl_ab = cl2_array([2.0 * a, 2.0 * b, 2.0 * (a + b)])
+    return float(0.5 * (cl_a + cl_b - cl_ab))
 
 
 def clausen_series(theta: float, n_terms: int = 1_000_000) -> float:

@@ -17,9 +17,10 @@ exponent pair lies:
 toric_indices builds the points as int arrays (modulus, k, k') with numpy
 from this closed description and always checks |P_d| <= 1e-10 at every one
 of them, to guard against implementation slips; diagonal_sign is the table
-above, elementwise on those arrays.  check_regularity recomputes gamma
-numerically to confirm Im gamma never vanishes and that the sign table
-matches it pointwise.
+above, elementwise on those arrays.  toric_gamma is gamma on those arrays (one
+gauss_map call), and check_regularity confirms with it that Im gamma never
+vanishes and that the sign table matches it at every point.  enumerate_toric
+lists the same points as ToricPoint objects.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from .specfun import TWO_PI
 
 TORIC_RESIDUAL_TOL = 1e-10
 REGULARITY_MIN_IM = 1e-8
+# Largest d of the routes whose memory grows like d^2 (toric_indices, and so
+# the pointwise route and report toric, and the vol-sum pairs); a larger d
+# raises a ValueError before allocating instead of asking for gigabytes.
+MAX_QUADRATIC_D = 1000
 
 
 class RegularityError(ArithmeticError):
@@ -99,14 +104,21 @@ def _guard_residuals(d: int, n: np.ndarray, k: np.ndarray,
     return np.abs(val)
 
 
+def _require_quadratic_d(d: int) -> None:
+    if d > MAX_QUADRATIC_D:
+        raise ValueError(f"d = {d} exceeds {MAX_QUADRATIC_D}, the largest d "
+                         "of the routes that need O(d^2) memory")
+
+
 def toric_indices(spec: PdSpec) -> tuple:
     """Int arrays (modulus, k, k') of all toric points, in that sort order.
 
     The count is d(d-1) + (d+1)d.  Every point is checked to satisfy
     |P_d| <= TORIC_RESIDUAL_TOL; an AssertionError names the first point
-    that does not.
+    that does not.  d > MAX_QUADRATIC_D raises a ValueError.
     """
     d = spec.d
+    _require_quadratic_d(d)
     blocks = []
     for n in (d + 1, d + 2):
         i, j = np.nonzero(~np.eye(n - 1, dtype=bool))
@@ -142,23 +154,29 @@ def epsilon(pt: ToricPoint) -> int:
     return diagonal_sign(pt.d, pt.modulus, pt.k, pt.k_prime)
 
 
-def check_regularity(spec: PdSpec,
-                     min_abs_im: float = REGULARITY_MIN_IM) -> RegularityReport:
+def toric_gamma(spec: PdSpec, n, k, kp) -> np.ndarray:
+    """The Gauss map gamma at the toric points with index arrays (n, k, k')."""
+    x = np.exp(1j * (TWO_PI * k / n))
+    y = np.exp(1j * (TWO_PI * kp / n))
+    return gauss_map(spec, x, y)
+
+
+def check_regularity(spec: PdSpec) -> RegularityReport:
     """Confirm Im gamma != 0 and eps = -sign(Im gamma) at every toric point.
 
     Returns the minimum |Im gamma| observed (O(1) at small d; the threshold
-    only guards against gross errors).  Raises RegularityError naming the
-    first offending point.
+    REGULARITY_MIN_IM only guards against gross errors).  Raises
+    RegularityError naming the first offending point as (n, k, k').
     """
-    points = enumerate_toric(spec)
-    smallest = math.inf
-    for pt in points:
-        g = gauss_map(spec, pt.x, pt.y)
-        if abs(g.imag) <= min_abs_im:
+    n, k, kp = toric_indices(spec)
+    im = toric_gamma(spec, n, k, kp).imag
+    small = np.abs(im) <= REGULARITY_MIN_IM
+    bad = small | (diagonal_sign(spec.d, n, k, kp) != np.where(im > 0, -1, 1))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        at = f"(n, k, k') = ({n[i]}, {k[i]}, {kp[i]})"
+        if small[i]:
             raise RegularityError(
-                f"|Im gamma| = {abs(g.imag):.3e} <= {min_abs_im} at {pt}")
-        if epsilon(pt) != (-1 if g.imag > 0 else 1):
-            raise RegularityError(
-                f"sign table disagrees with computed gamma at {pt}")
-        smallest = min(smallest, abs(g.imag))
-    return RegularityReport(spec.d, len(points), smallest)
+                f"|Im gamma| = {abs(im[i]):.3e} <= {REGULARITY_MIN_IM} at {at}")
+        raise RegularityError(f"sign table disagrees with computed gamma at {at}")
+    return RegularityReport(spec.d, n.size, float(np.min(np.abs(im))))

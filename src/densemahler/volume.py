@@ -13,7 +13,8 @@ structure collapses to the two-angle function
     vol(theta, alpha) = Cl2(theta) + Cl2(alpha) - Cl2(theta + alpha)
 
 on the closed triangle T with vertices (0,0), (0,2pi), (2pi,0): vol vanishes
-on the boundary of T, is positive inside, and is concave there.  Its
+on the boundary of T, is positive inside, and is concave there.  It has one
+kernel, the elementwise vol_array; the scalar vol runs it on 0-d inputs.  Its
 gradient is (log|1-e^{i(theta+alpha)}| - log|1-e^{i theta}|, same with
 alpha); both logs are computed as log(2 sin(t/2)), which is exact for
 t in [0, 2pi] and avoids cancellation near t = 0.  The Hessian entries are
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .polynomials import PdSpec
-from .specfun import TWO_PI, cl2, cl2_array
+from .specfun import TWO_PI, cl2_array
 
 import numpy as np
 
@@ -50,25 +51,22 @@ def in_triangle(theta: float, alpha: float, tol: float = TRIANGLE_TOL) -> bool:
     return (theta >= -tol) & (alpha >= -tol) & (theta + alpha <= TWO_PI + tol)
 
 
-def _require_triangle(theta: float, alpha: float) -> None:
-    if not in_triangle(theta, alpha):
-        raise ValueError(
-            f"({theta!r}, {alpha!r}) lies outside the closed triangle "
-            "0 <= theta, 0 <= alpha, theta + alpha <= 2*pi")
-
-
 def vol(theta: float, alpha: float) -> float:
     """Cl2(theta) + Cl2(alpha) - Cl2(theta + alpha) on the closed triangle."""
-    _require_triangle(theta, alpha)
-    return cl2(theta) + cl2(alpha) - cl2(theta + alpha)
+    return float(vol_array(theta, alpha))
 
 
 def vol_array(theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Vectorized vol; every point must lie in the closed triangle."""
+    """vol elementwise; a ValueError names the first point outside T."""
     theta = np.asarray(theta, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if not np.all(in_triangle(theta, alpha)):
-        raise ValueError("points outside the closed triangle")
+    inside = in_triangle(theta, alpha)
+    if not np.all(inside):
+        i = np.argmin(inside)
+        t, a = (float(v.flat[i]) for v in np.broadcast_arrays(theta, alpha))
+        raise ValueError(
+            f"({t!r}, {a!r}) lies outside the closed triangle "
+            "0 <= theta, 0 <= alpha, theta + alpha <= 2*pi")
     return cl2_array(theta) + cl2_array(alpha) - cl2_array(theta + alpha)
 
 

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 
 from conftest import run_cli
 
@@ -146,6 +147,24 @@ def test_report_usage_errors(capsys):
     assert run_cli(["report", "limit"]) == 2
     capsys.readouterr()
     assert run_cli(["report", "nonsense"]) == 2
+    capsys.readouterr()
+
+
+def test_quadratic_routes_refuse_large_d(capsys):
+    # the O(d^2) routes fail with exit 2 before allocating their arrays
+    import densemahler.cli  # noqa: F401  (imports are not the subject)
+
+    tracemalloc.start()
+    try:
+        for argv in (["measure", "--method", "pointwise"],
+                     ["measure", "--method", "volsum"], ["report", "toric"]):
+            assert run_cli(argv + ["--d", "1000000"]) == 2
+            assert "exceeds 1000" in capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert run_cli(["measure", "--d", "1000000"]) == 0  # O(d) route
     capsys.readouterr()
 
 

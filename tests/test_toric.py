@@ -7,7 +7,7 @@ import re
 import pytest
 
 from densemahler import toric
-from densemahler.mahler_closed import m_closed_pointwise
+from densemahler.mahler_closed import m_closed_pointwise, m_closed_volsum
 from densemahler.polynomials import PdSpec, eval_pd
 from densemahler.toric import (RegularityError, ToricPoint, check_regularity,
                                diagonal_sign, enumerate_toric, epsilon,
@@ -102,6 +102,14 @@ def test_residual_guard_names_point(monkeypatch):
         assert (k, kp, n) in D2_EPSILON
 
 
+def test_quadratic_routes_refuse_large_d():
+    spec = PdSpec(toric.MAX_QUADRATIC_D + 1)
+    for route in (toric_indices, enumerate_toric, check_regularity,
+                  m_closed_pointwise, m_closed_volsum):
+        with pytest.raises(ValueError, match="exceeds"):
+            route(spec)
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         ToricPoint(2, 1, 1, 3)  # symmetric
@@ -120,6 +128,8 @@ def test_check_regularity():
     assert abs(check_regularity(PdSpec(2)).min_abs_im_gamma - 0.5) <= 1e-12
 
 
-def test_regularity_threshold_violation():
-    with pytest.raises(RegularityError):
-        check_regularity(PdSpec(2), min_abs_im=10.0)
+def test_regularity_threshold_violation(monkeypatch):
+    # with a threshold above every |Im gamma| the first point fails
+    monkeypatch.setattr(toric, "REGULARITY_MIN_IM", 10.0)
+    with pytest.raises(RegularityError, match=r"at \(n, k, k'\) = \(3, 1, 2\)"):
+        check_regularity(PdSpec(2))
