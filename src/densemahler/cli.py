@@ -14,7 +14,8 @@ Sweeps parallelize across d (MAHLER_THREADS sets the worker count, at most
 order.
 
 Exit codes: 0 success, 2 usage error (also a d beyond the limit of a route
-whose memory grows like d^2), 3 I/O error, 4 numeric failure.
+whose memory grows like d^2), 3 I/O error, 4 numeric failure (any
+ArithmeticError, the base of the package's numeric errors).
 """
 
 from __future__ import annotations
@@ -29,15 +30,11 @@ import numpy as np
 from .limits import error_E, integral_reference, limit_report, riemann_sum
 from .mahler_closed import (METHOD_AGGREGATED, METHOD_FLAGS, METHOD_ORACLE,
                             m_closed)
-from .mahler_oracle import (ContinuationError, OracleError, default_config,
-                            m_oracle, vol_integral_quadrature)
-from .polynomials import PdSpec, RootFindingError
+from .mahler_oracle import default_config, m_oracle, vol_integral_quadrature
+from .polynomials import PdSpec
 from .specfun import TWO_PI
-from .toric import RegularityError, diagonal_sign, toric_gamma, toric_indices
+from .toric import diagonal_sign, toric_gamma, toric_indices
 from .volume import vol_array
-
-NUMERIC_FAILURES = (RootFindingError, RegularityError, ContinuationError,
-                    OracleError)
 
 
 def _fmt(x: float) -> str:
@@ -215,7 +212,7 @@ def main(argv: list | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args, parser)
         return cmd_report(args, parser)
-    except NUMERIC_FAILURES as exc:
+    except ArithmeticError as exc:  # every numeric error of the package
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

@@ -36,6 +36,8 @@ from .polynomials import PdSpec
 from .specfun import TWO_PI, zeta3
 from .volume import in_triangle, vol_array
 
+_SQUARE_NODES = 16  # Gauss-Legendre nodes per side of each square
+
 
 def integral_reference() -> float:
     """The exact integral of vol over T: 6 pi zeta(3)."""
@@ -89,12 +91,12 @@ def blue_area_formula(n: int) -> float:
     return 2.0 * math.pi ** 2 * (3.0 * n - 2.0) / n ** 2
 
 
-def squares_integral(n: int, nodes: int = 16) -> float:
+def squares_integral(n: int) -> float:
     """Integral of vol over the union of subpartition squares, tensor GL."""
     centers = square_centers(n)
     if centers.size == 0:
         return 0.0
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(_SQUARE_NODES)
     half = math.pi / n
     offs = half * x
     ww = half * w
@@ -104,9 +106,9 @@ def squares_integral(n: int, nodes: int = 16) -> float:
     return float(np.einsum("i,j,sij->", ww, ww, vals))
 
 
-def blue_integral(n: int, nodes: int = 16) -> float:
+def blue_integral(n: int) -> float:
     """eps(n) = integral of vol over the blue remainder (I minus squares)."""
-    return integral_reference() - squares_integral(n, nodes)
+    return integral_reference() - squares_integral(n)
 
 
 def max_vol_on_blue(n: int) -> float:

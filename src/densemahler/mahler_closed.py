@@ -26,11 +26,13 @@ which needs only n-1 Clausen calls.  The regrouping is validated against the
 naive double sum for every d <= 200 in the test suite before being trusted
 at larger d.
 
-Error bounds propagate linearly from the per-call Clausen budget.
+Error bounds propagate linearly from the per-call Clausen budget; the
+aggregated route's weight mass sum |2n - 3j - 1| is an exact integer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,8 @@ from .polynomials import PdSpec
 from .specfun import CL2_ERROR_BOUND, TWO_PI, cl2_array
 from .toric import _require_quadratic_d, diagonal_sign, toric_indices
 from .volume import vol_array, volume_v_array
+
+_GRID_CHUNK = 1 << 20  # angles per cl2_array call in grid_weight_sum
 
 METHOD_POINTWISE = "closed_pointwise"
 METHOD_VOLSUM = "closed_volsum"
@@ -65,18 +69,27 @@ class MahlerEstimate:
     error_bound: float
 
 
-def _grid_weights(n: int) -> tuple:
-    # grid indices j = 1..n-1 and the integer multiplicities 2n - 3j - 1
-    j = np.arange(1, n, dtype=float)
-    return j, 2.0 * n - 3.0 * j - 1.0
-
-
 def grid_weight_sum(n: int) -> float:
-    """W(n) = sum_{j=1}^{n-1} (2n - 3j - 1) Cl2(2 pi j / n), O(n) Clausen calls."""
+    """W(n) = sum_{j=1}^{n-1} (2n - 3j - 1) Cl2(2 pi j / n), O(n) Clausen calls.
+
+    The angles go to cl2_array _GRID_CHUNK at a time, so memory stays
+    bounded at any n; the chunk sums are added with math.fsum.
+    """
     if n < 2:
         raise ValueError(f"grid order must be >= 2, got {n}")
-    j, weights = _grid_weights(n)
-    return float(weights @ cl2_array(TWO_PI * j / n))
+
+    def chunk_sum(lo):
+        j = np.arange(lo, min(lo + _GRID_CHUNK, n), dtype=float)
+        return float((2.0 * n - 3.0 * j - 1.0) @ cl2_array(TWO_PI * j / n))
+
+    return math.fsum(map(chunk_sum, range(1, n, _GRID_CHUNK)))
+
+
+def _weight_mass(n: int) -> int:
+    # sum_{j=1}^{n-1} |2n - 3j - 1| in closed form: the terms are positive
+    # for j <= p = (2n - 2) // 3 and not positive after
+    a, p = 2 * n - 1, (2 * n - 2) // 3
+    return a * (2 * p - n + 1) - 3 * p * (p + 1) + 3 * n * (n - 1) // 2
 
 
 def _pair_grid(n: int) -> tuple:
@@ -94,7 +107,8 @@ def m_closed_pointwise(spec: PdSpec) -> MahlerEstimate:
     n, k, kp = toric_indices(spec)
     eps = diagonal_sign(d, n, k, kp).astype(float)
     total = float(eps @ volume_v_array(spec, TWO_PI * k / n, TWO_PI * kp / n))
-    bound = n.size * CL2_ERROR_BOUND / TWO_PI
+    # each V: 3 Clausen values over (d+1)(d+2) plus 3 over d+2 = 3/(d+1)
+    bound = 3.0 * n.size * CL2_ERROR_BOUND / ((d + 1.0) * TWO_PI)
     return MahlerEstimate(d, total / TWO_PI, METHOD_POINTWISE, bound)
 
 
@@ -122,12 +136,8 @@ def m_closed_aggregated(spec: PdSpec) -> MahlerEstimate:
     c1 = -2.0 / (d + 2.0)
     c2 = 2.0 / (d + 1.0)
     total = c1 * grid_weight_sum(d + 1) + c2 * grid_weight_sum(d + 2)
-
-    def weight_mass(n):
-        return float(np.sum(np.abs(_grid_weights(n)[1])))
-
-    bound = CL2_ERROR_BOUND * (abs(c1) * weight_mass(d + 1)
-                               + c2 * weight_mass(d + 2)) / TWO_PI
+    bound = CL2_ERROR_BOUND * (abs(c1) * _weight_mass(d + 1)
+                               + c2 * _weight_mass(d + 2)) / TWO_PI
     return MahlerEstimate(d, total / TWO_PI, METHOD_AGGREGATED, bound)
 
 

@@ -25,12 +25,12 @@ primitive_check integrates the curve one-form
     eta = log|y| d arg(x) - log|x| d arg(y)
 
 along a tracked branch y(t) over the arc x(t) = r e^{it} and compares with
-the increment of the volume function V, whose differential eta is; one
-formula for V serves every d >= 1.  V off the unit torus needs the full
-Bloch-Wigner dilogarithm, supplied by specfun.  Branch tracking starts from
-the root of least (real, imaginary) part at the start of the arc and is
-nearest-root continuation with step halving when the match margin degrades;
-it refuses to cross near-collisions of roots.
+the increment of the volume function V, whose differential eta is, taken from
+volume.volume_v (valid off the unit torus).  Branch tracking solves every
+fibre of the arc with the same warm-started batch solver as the quadrature,
+starts from the root of least (real, imaginary) part and is plain
+nearest-root continuation: an ambiguous match or a near-collision of roots
+raises ContinuationError instead of guessing a branch.
 
 vol_integral_quadrature evaluates the 2-D integral of vol over the triangle
 T by nested Gauss-Legendre with panels geometrically graded toward the
@@ -46,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import (PdSpec, RootFindingError, aberth_roots_batch,
-                          slice_coeff_matrix, y_slice, roots)
-from .specfun import TWO_PI, bloch_wigner
-from .volume import vol_array
+                          slice_coeff_matrix)
+from .specfun import TWO_PI
+from .volume import vol_array, volume_v
 
 _BATCH_LIMIT = 1536  # cap on simultaneous Aberth rows, keeps temporaries small
 _SEED_STRIDE = 12  # angles per warm-start seed: near enough for few sweeps
@@ -62,10 +62,6 @@ class OracleError(ArithmeticError):
 
 class ContinuationError(ArithmeticError):
     """Branch tracking could not continue safely along the arc."""
-
-
-class _AmbiguousMatch(ContinuationError):
-    """Two roots are equally near the tracked one; a shorter step may settle it."""
 
 
 @dataclass(frozen=True)
@@ -208,15 +204,6 @@ class CurveArc:
             raise ValueError("need at least 8 steps")
 
 
-def _volume_complex(d: int, x: complex, y: complex) -> float:
-    """V(x, y) off the torus, through the full Bloch-Wigner dilogarithm."""
-    m = d + 1
-    first = (bloch_wigner(y ** m) - bloch_wigner(x ** m)
-             - bloch_wigner((y / x) ** m))
-    second = bloch_wigner(x) - bloch_wigner(y) - bloch_wigner(x / y)
-    return first / ((d + 1) * (d + 2)) + second / (d + 2)
-
-
 def _match_branch(prev: complex, fibre: np.ndarray) -> complex:
     """Nearest-root continuation step with collision and margin guards."""
     dist = np.abs(fibre - prev)
@@ -225,7 +212,7 @@ def _match_branch(prev: complex, fibre: np.ndarray) -> complex:
     if order.size > 1:
         margin = dist[order[1]] - dist[order[0]]
         if margin < 1e-12:
-            raise _AmbiguousMatch(
+            raise ContinuationError(
                 f"ambiguous branch match (margin {margin:.3e})")
         others = np.abs(fibre[order[1:]] - best)
         if np.min(others) < BRANCH_COLLISION_TOL:
@@ -239,9 +226,9 @@ def _track_branch(spec: PdSpec, arc: CurveArc) -> tuple:
     """Roots along the fine grid (endpoints plus midpoints) on one branch.
 
     Returns (t_grid, y_values) over 2*steps + 1 points, starting from the
-    root of least (real, imaginary) part.  When a nearest-root match becomes
-    ambiguous the step is halved on the fly (scalar re-solves) up to a fixed
-    depth.
+    root of least (real, imaginary) part.  Every fibre comes from one
+    _slice_root_blocks pass; an ambiguous match or a near-collision of roots
+    raises ContinuationError (take more steps or move the arc).
     """
     m = 2 * arc.steps + 1
     t = np.linspace(arc.t_start, arc.t_end, m)
@@ -252,29 +239,8 @@ def _track_branch(spec: PdSpec, arc: CurveArc) -> tuple:
     y = np.empty(m, dtype=complex)
     y[0] = min(fibres[0], key=lambda r: (r.real, r.imag))
     for i in range(1, m):
-        try:
-            y[i] = _match_branch(y[i - 1], fibres[i])
-        except _AmbiguousMatch:
-            y[i] = _refine_step(spec, arc.radius, t[i - 1], y[i - 1], t[i])
+        y[i] = _match_branch(y[i - 1], fibres[i])
     return t, y
-
-
-def _refine_step(spec: PdSpec, radius: float, t_a: float, y_a: complex,
-                 t_b: float, depth: int = 0) -> complex:
-    # halve the step until nearest-root matching is unambiguous again
-    if depth > 40:
-        raise ContinuationError("branch matching failed after 40 halvings")
-    t_mid = 0.5 * (t_a + t_b)
-    fibre = np.array(roots(y_slice(spec, radius * cmath.exp(1j * t_mid))))
-    try:
-        y_mid = _match_branch(y_a, fibre)
-    except _AmbiguousMatch:
-        y_mid = _refine_step(spec, radius, t_a, y_a, t_mid, depth + 1)
-    fibre_b = np.array(roots(y_slice(spec, radius * cmath.exp(1j * t_b))))
-    try:
-        return _match_branch(y_mid, fibre_b)
-    except _AmbiguousMatch:
-        return _refine_step(spec, radius, t_mid, y_mid, t_b, depth + 1)
 
 
 def eta_path_integral(spec: PdSpec, arc: CurveArc) -> dict:
@@ -294,8 +260,8 @@ def eta_path_integral(spec: PdSpec, arc: CurveArc) -> dict:
     x_end = arc.radius * cmath.exp(1j * arc.t_end)
     return {
         "eta": part_x - part_y,
-        "v_start": _volume_complex(spec.d, x_start, complex(y[0])),
-        "v_end": _volume_complex(spec.d, x_end, complex(y[-1])),
+        "v_start": volume_v(spec, x_start, complex(y[0])),
+        "v_end": volume_v(spec, x_end, complex(y[-1])),
         "y_start": complex(y[0]),
         "y_end": complex(y[-1]),
     }

@@ -170,7 +170,6 @@ def _polyval_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def aberth_roots_batch(coeffs: np.ndarray,
-                       max_iter: int = ABERTH_MAX_ITER,
                        initial: np.ndarray | None = None) -> np.ndarray:
     """All roots of a batch of same-degree polynomials, Aberth-Ehrlich.
 
@@ -181,7 +180,7 @@ def aberth_roots_batch(coeffs: np.ndarray,
     deterministic, and stops when every correction falls below
     ABERTH_NEWTON_TOL.
 
-    Raises RootFindingError when the iteration cap is reached.
+    Raises RootFindingError after ABERTH_MAX_ITER sweeps (read at call time).
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     n_poly, deg_p1 = coeffs.shape
@@ -207,7 +206,7 @@ def aberth_roots_batch(coeffs: np.ndarray,
 
     idx = np.arange(deg)
     active = np.arange(n_poly)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         z = out[active]
         p = _polyval_batch(monic[active], z)
         dp = _polyval_batch(deriv[active], z) if deg > 1 else np.ones_like(z)
@@ -226,7 +225,7 @@ def aberth_roots_batch(coeffs: np.ndarray,
             return out
     worst = float(np.max(np.abs(_polyval_batch(monic[active], out[active]))))
     raise RootFindingError(
-        f"Aberth iteration did not converge within {max_iter} sweeps "
+        f"Aberth iteration did not converge within {ABERTH_MAX_ITER} sweeps "
         f"for {active.size} polynomial(s)", worst)
 
 

@@ -7,8 +7,12 @@ of P_d is
             + [D(x) - D(y) - D(x/y)] / (d+2),
 
 with D the Bloch-Wigner dilogarithm; on the d = 1 curve 1 + x + y = 0 it
-equals the classical primitive -D(-x).  On torus points the bracket
-structure collapses to the two-angle function
+equals the classical primitive -D(-x).  volume_v evaluates it at any
+x, y != 0, on or off the unit torus, through specfun.bloch_wigner (three
+Clausen values per D).  volume_v_array is the torus kernel of the pointwise
+route: on angles each D is one Clausen value.  The two are independent
+evaluators of the same V.  On torus points the bracket structure collapses
+to the two-angle function
 
     vol(theta, alpha) = Cl2(theta) + Cl2(alpha) - Cl2(theta + alpha)
 
@@ -29,18 +33,16 @@ from h11 < 0 and det > 0.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .polynomials import PdSpec
-from .specfun import TWO_PI, cl2_array
+from .specfun import TWO_PI, bloch_wigner, cl2_array
 
 import numpy as np
 
 # slack for membership in the closed triangle (boundary points are legal)
 TRIANGLE_TOL = 1e-9
-TORUS_TOL = 1e-12
 
 
 def in_triangle(theta: float, alpha: float, tol: float = TRIANGLE_TOL) -> bool:
@@ -115,11 +117,6 @@ def vol_hessian(theta: float, alpha: float) -> Hessian2:
     return Hessian2(c_sum - c_theta, c_sum, c_sum, c_sum - c_alpha)
 
 
-def _require_on_torus(z: complex, name: str) -> None:
-    if abs(abs(z) - 1.0) > TORUS_TOL:
-        raise ValueError(f"{name} = {z!r} is off the unit circle")
-
-
 def volume_v_array(spec: PdSpec, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     """V(e^{i tx}, e^{i ty}) elementwise over arrays of angles.
 
@@ -135,10 +132,12 @@ def volume_v_array(spec: PdSpec, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
 
 
 def volume_v(spec: PdSpec, x: complex, y: complex) -> float:
-    """The volume function V(x, y) on the unit torus."""
-    x = complex(x)
-    y = complex(y)
-    _require_on_torus(x, "x")
-    _require_on_torus(y, "y")
-    return float(volume_v_array(spec, cmath.phase(x), cmath.phase(y)))
-
+    """The volume function V(x, y) at any x, y != 0, on or off the torus."""
+    x, y = complex(x), complex(y)
+    if x == 0 or y == 0:
+        raise ValueError(f"V is undefined at (x, y) = ({x!r}, {y!r})")
+    m = spec.d + 1
+    first = (bloch_wigner(y ** m) - bloch_wigner(x ** m)
+             - bloch_wigner((y / x) ** m))
+    second = bloch_wigner(x) - bloch_wigner(y) - bloch_wigner(x / y)
+    return first / (m * (m + 1)) + second / (m + 1)

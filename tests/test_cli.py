@@ -180,6 +180,27 @@ def test_numeric_failure_exit_code(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_every_arithmetic_error_exits_4(monkeypatch, capsys):
+    # the gamma of report toric and error_E's sandwich check raise errors
+    # outside the oracle's: they exit 4 too, not with a traceback
+    import densemahler.cli as cli
+    from densemahler.polynomials import SingularPointError
+
+    def singular(*args):
+        raise SingularPointError("injected singular point")
+
+    def sandwich(n):
+        raise ArithmeticError("injected sandwich violation")
+
+    monkeypatch.setattr(cli, "toric_gamma", singular)
+    monkeypatch.setattr(cli, "error_E", sandwich)
+    for argv, text in ((["report", "toric", "--d", "3"], "singular point"),
+                       (["report", "riemann", "--n", "5"], "sandwich")):
+        assert run_cli(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and text in err
+
+
 def test_bad_thread_env(monkeypatch, capsys):
     import densemahler.cli as cli
 

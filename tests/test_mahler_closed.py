@@ -3,14 +3,17 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
+from densemahler import mahler_closed
 from densemahler.mahler_closed import (METHOD_AGGREGATED, METHOD_POINTWISE,
                                        METHOD_VOLSUM, grid_weight_sum,
                                        m_closed, m_closed_aggregated,
                                        m_closed_pointwise, m_closed_volsum)
 from densemahler.polynomials import PdSpec
-from densemahler.specfun import cl2, zeta3
+from densemahler.specfun import CL2_ERROR_BOUND, cl2, cl2_array, zeta3
+from densemahler.toric import toric_indices
 from densemahler.volume import vol
 
 TWO_PI = 2.0 * math.pi
@@ -92,3 +95,39 @@ def test_error_bounds_positive_and_small():
             est = route(PdSpec(d))
             assert est.d == d
             assert 0.0 < est.error_bound < 1e-6
+
+
+def test_pointwise_bound_is_the_per_call_propagation():
+    # each V takes 3 Clausen values over (d+1)(d+2) and 3 over d+2, and
+    # |eps| = 1, so the sum over the N torus zeros carries at most N times
+    # that budget, divided by 2 pi
+    for d in range(1, 7):
+        n_points = toric_indices(PdSpec(d))[0].size
+        per_v = 3.0 / ((d + 1) * (d + 2)) + 3.0 / (d + 2)
+        propagated = n_points * per_v * CL2_ERROR_BOUND / TWO_PI
+        bound = m_closed_pointwise(PdSpec(d)).error_bound
+        assert propagated * (1 - 1e-12) <= bound <= propagated * (1 + 1e-12)
+
+
+def test_grid_weight_sum_chunks(monkeypatch):
+    # W(n) is summed over chunks of the angles: every cl2_array call stays
+    # within the chunk, and the value is the one-call value up to rounding
+    sizes = []
+
+    def counting_cl2(theta):
+        sizes.append(np.size(theta))
+        return cl2_array(theta)
+
+    one_call = {n: grid_weight_sum(n) for n in (2, 3, 50, 1001)}
+    monkeypatch.setattr(mahler_closed, "cl2_array", counting_cl2)
+    monkeypatch.setattr(mahler_closed, "_GRID_CHUNK", 7)
+    for n, value in one_call.items():
+        sizes.clear()
+        assert abs(grid_weight_sum(n) - value) <= 1e-12 * max(1.0, abs(value))
+        assert max(sizes) <= 7 and sum(sizes) == n - 1
+
+
+def test_weight_mass_closed_form():
+    for n in range(2, 2001):
+        j = np.arange(1, n)
+        assert mahler_closed._weight_mass(n) == int(np.abs(2 * n - 3 * j - 1).sum())

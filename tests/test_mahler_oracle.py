@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from densemahler import mahler_oracle
+from densemahler import mahler_oracle, polynomials
 from densemahler.limits import integral_reference
 from densemahler.mahler_closed import m_closed_volsum
 from densemahler.mahler_oracle import (ContinuationError, CurveArc,
@@ -129,7 +129,7 @@ def test_oracle_error_names_angle_range(monkeypatch, good_calls):
     def one_sweep(coeffs, **kwargs):
         calls["n"] += 1
         if calls["n"] > good_calls:
-            kwargs["max_iter"] = 1
+            monkeypatch.setattr(polynomials, "ABERTH_MAX_ITER", 1)
         return aberth_roots_batch(coeffs, **kwargs)
 
     monkeypatch.setattr(mahler_oracle, "aberth_roots_batch", one_sweep)
@@ -212,42 +212,33 @@ def test_branch_collision_detected():
         primitive_check(PdSpec(2), arc)
 
 
-def _forced_match(monkeypatch, error, at_call):
-    # replace the nearest-root match by one that raises `error` on its
-    # at_call-th call, and count the refinements
+def _forced_fibre(monkeypatch, fibre_at, at_call):
+    # hand the nearest-root match the fibre fibre_at(prev) on its at_call-th
+    # call, and count the calls
     real = mahler_oracle._match_branch
-    calls = {"match": 0, "refine": 0}
+    calls = {"match": 0}
 
     def match(prev, fibre):
         calls["match"] += 1
         if calls["match"] == at_call:
-            raise error
+            fibre = fibre_at(prev)
         return real(prev, fibre)
 
-    real_refine = mahler_oracle._refine_step
-
-    def refine(*args, **kwargs):
-        calls["refine"] += 1
-        return real_refine(*args, **kwargs)
-
     monkeypatch.setattr(mahler_oracle, "_match_branch", match)
-    monkeypatch.setattr(mahler_oracle, "_refine_step", refine)
     return calls
 
 
-def test_ambiguous_match_is_refined(monkeypatch):
-    # an equidistant fibre cannot pick a branch: the ambiguity subclass
-    with pytest.raises(mahler_oracle._AmbiguousMatch):
+def test_ambiguous_match_stops_tracking(monkeypatch):
+    # an equidistant fibre cannot pick a branch: a plain error
+    with pytest.raises(ContinuationError, match="ambiguous branch match"):
         mahler_oracle._match_branch(0j, np.array([1.0 + 0j, -1.0 + 0j]))
-    spec, arc = PdSpec(3), CurveArc(0.9, 0.2, 1.0, steps=8)
-    t_ref, y_ref = mahler_oracle._track_branch(spec, arc)
-    calls = _forced_match(monkeypatch, mahler_oracle._AmbiguousMatch(
-        "ambiguous branch match (forced)"), at_call=5)
-    t, y = mahler_oracle._track_branch(spec, arc)
-    # the halved step lands on the same branch, re-solved by roots()
-    assert calls["refine"] == 1
-    assert np.array_equal(t, t_ref)
-    assert np.max(np.abs(y - y_ref)) <= 1e-12
+    # an ambiguous fibre mid-arc ends the tracking; nothing re-solves the step
+    calls = _forced_fibre(
+        monkeypatch, lambda prev: np.array([prev + 1.0, prev - 1.0]),
+        at_call=5)
+    with pytest.raises(ContinuationError, match="ambiguous branch match"):
+        mahler_oracle._track_branch(PdSpec(3), CurveArc(0.9, 0.2, 1.0, steps=8))
+    assert calls["match"] == 5
 
 
 def test_collision_is_not_refined(monkeypatch):
@@ -257,10 +248,13 @@ def test_collision_is_not_refined(monkeypatch):
                                                  dtype=complex))
     assert type(info.value) is ContinuationError
     assert "collision" in str(info.value)
-    calls = _forced_match(monkeypatch, info.value, at_call=5)
-    with pytest.raises(ContinuationError):
+    # a colliding fibre mid-arc ends the tracking; nothing re-solves the step
+    calls = _forced_fibre(
+        monkeypatch, lambda prev: np.array([prev, prev + 5e-4, prev + 5.0]),
+        at_call=5)
+    with pytest.raises(ContinuationError, match="collision"):
         mahler_oracle._track_branch(PdSpec(3), CurveArc(0.9, 0.2, 1.0, steps=8))
-    assert calls["refine"] == 0
+    assert calls["match"] == 5
 
 
 def test_arc_validation():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from densemahler import polynomials
 from densemahler.polynomials import (PdSpec, RootFindingError,
                                      SingularPointError,
                                      aberth_roots_batch, eval_partials,
@@ -195,11 +196,12 @@ def test_aberth_batch_shapes_and_warm_start(rng):
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
-def test_aberth_rejects_degenerate():
+def test_aberth_rejects_degenerate(monkeypatch):
     with pytest.raises(ValueError):
         aberth_roots_batch(np.array([[1.0 + 0j]]))
     with pytest.raises(ValueError):
         aberth_roots_batch(np.array([[1.0, 0.0]], dtype=complex))
-    with pytest.raises(RootFindingError):
-        aberth_roots_batch(np.array([[1.0, 1.0, 1.0]], dtype=complex),
-                           max_iter=1)
+    # the sweep cap is read at call time
+    monkeypatch.setattr(polynomials, "ABERTH_MAX_ITER", 1)
+    with pytest.raises(RootFindingError, match="within 1 sweeps"):
+        aberth_roots_batch(np.array([[1.0, 1.0, 1.0]], dtype=complex))

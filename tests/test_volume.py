@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import interior_triangle_points
-from densemahler.mahler_oracle import _volume_complex
 from densemahler.polynomials import PdSpec
 from densemahler.specfun import bloch_wigner, cl2
-from densemahler.toric import enumerate_toric
+from densemahler.toric import enumerate_toric, toric_indices
 from densemahler.volume import (Hessian2, in_triangle, vol, vol_array,
-                                vol_gradient, vol_hessian, volume_v)
+                                vol_gradient, vol_hessian, volume_v,
+                                volume_v_array)
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,8 +151,27 @@ def test_volume_bridge_to_vol():
 
 
 def test_volume_v_domain():
-    with pytest.raises(ValueError):
-        volume_v(PdSpec(2), 1.5, 1.0)
+    # defined off the torus, not at x = 0 or y = 0
+    assert math.isfinite(volume_v(PdSpec(2), 1.5, 1.0 + 0.5j))
+    for x, y in ((0.0, 1.0), (1.0j, 0.0)):
+        with pytest.raises(ValueError):
+            volume_v(PdSpec(2), x, y)
+
+
+def test_volume_v_matches_torus_kernel(rng):
+    # two independent evaluators of V: three Clausen values per D against
+    # one; every torus zero for d <= 12, 200 of them at d = 40, 100, 300
+    for d in list(range(1, 13)) + [40, 100, 300]:
+        spec = PdSpec(d)
+        n, k, kp = toric_indices(spec)
+        if n.size > 200:
+            keep = rng.choice(n.size, 200, replace=False)
+            n, k, kp = n[keep], k[keep], kp[keep]
+        tx, ty = TWO_PI * k / n, TWO_PI * kp / n
+        kernel = volume_v_array(spec, tx, ty)
+        for a, b, v in zip(tx, ty, kernel):
+            scalar = volume_v(spec, cmath.exp(1j * a), cmath.exp(1j * b))
+            assert abs(scalar - v) <= 1e-14, (d, a, b)
 
 
 def test_volume_v_d1_is_classical_primitive(rng):
@@ -160,7 +179,7 @@ def test_volume_v_d1_is_classical_primitive(rng):
     log_r = rng.uniform(0.1, 1.0, 40) * rng.choice([-1.0, 1.0], 40)
     for x in np.exp(log_r + 1j * rng.uniform(0.0, TWO_PI, 40)):
         x = complex(x)
-        assert abs(_volume_complex(1, x, -1.0 - x) + bloch_wigner(-x)) <= 1e-12
+        assert abs(volume_v(PdSpec(1), x, -1.0 - x) + bloch_wigner(-x)) <= 1e-12
     w = cmath.exp(2j * math.pi / 3)
     assert abs(volume_v(PdSpec(1), w, w * w) - cl2(math.pi / 3)) <= 1e-12
 
