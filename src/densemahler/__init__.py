@@ -21,8 +21,7 @@ from .polynomials import (PdSpec, RootFindingError, SingularPointError,
                           aberth_roots_batch, eval_pd, eval_pd_array,
                           eval_pd_rational, eval_partials, gauss_map, roots,
                           y_slice)
-from .specfun import (CL2_ERROR_BOUND, bloch_wigner, cl2, cl2_array,
-                      clausen_series, zeta3)
+from .specfun import CL2_ERROR_BOUND, bloch_wigner, cl2, cl2_array, zeta3
 from .toric import (RegularityError, RegularityReport, ToricPoint,
                     check_regularity, diagonal_sign, enumerate_toric, epsilon,
                     toric_gamma, toric_indices)

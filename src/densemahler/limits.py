@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mahler_closed import _pair_grid, grid_weight_sum, m_closed_aggregated
+from .mahler_closed import _aggregated_estimate, _pair_grid, grid_weight_sum
 from .polynomials import PdSpec
 from .specfun import TWO_PI, zeta3
 from .volume import in_triangle, vol_array
@@ -53,12 +53,21 @@ def riemann_sum(n: int) -> float:
     """S_n = (4 pi^2/n^2) sum_{0<k<k'<n} vol(2k pi/n, 2(k'-k) pi/n)."""
     if n < 2:
         raise ValueError(f"subpartition order must be >= 2, got {n}")
-    return (4.0 * math.pi ** 2 / n ** 2) * grid_weight_sum(n)
+    return _riemann_sum(n, grid_weight_sum(n))
+
+
+def _riemann_sum(n: int, w: float) -> float:
+    # S_n from w = W(n), the pair sum of vol over the n-grid
+    return (4.0 * math.pi ** 2 / n ** 2) * w
 
 
 def error_E(n: int) -> float:
     """E(n) = |I - S_n|; the sandwich forces I >= S_n, which is asserted."""
-    gap = integral_reference() - riemann_sum(n)
+    return _error_E(n, riemann_sum(n))
+
+
+def _error_E(n: int, s_n: float) -> float:
+    gap = integral_reference() - s_n
     if gap < -1e-9:
         raise ArithmeticError(
             f"Riemann sum exceeds the integral by {-gap:.3e} at n = {n}; "
@@ -184,7 +193,8 @@ def limit_report(d_list: list) -> list:
 
     The residual checks |2 pi m(P_d) - [A(d) I - B(d) I + B(d) E(d+1)
     - A(d) E(d+2)]| with A = (d+2)^2/(2 pi^2 (d+1)), B = (d+1)^2/(2 pi^2 (d+2)),
-    the exact decomposition behind the limit theorem.
+    the exact decomposition behind the limit theorem.  Each row computes
+    W(d+1) and W(d+2) once and takes m(P_d), E(d+1) and E(d+2) from them.
     """
     if not d_list:
         raise ValueError("need at least one d")
@@ -193,10 +203,13 @@ def limit_report(d_list: list) -> list:
     rows = []
     for d in d_list:
         spec = PdSpec(d)
-        m = m_closed_aggregated(spec).value
+        w1, w2 = grid_weight_sum(d + 1), grid_weight_sum(d + 2)
+        m = _aggregated_estimate(spec, w1, w2).value
+        e1 = _error_E(d + 1, _riemann_sum(d + 1, w1))
+        e2 = _error_E(d + 2, _riemann_sum(d + 2, w2))
         a = (d + 2) ** 2 / (2.0 * math.pi ** 2 * (d + 1))
         b = (d + 1) ** 2 / (2.0 * math.pi ** 2 * (d + 2))
-        bracket = (a * ref - b * ref + b * error_E(d + 1) - a * error_E(d + 2))
+        bracket = (a * ref - b * ref + b * e1 - a * e2)
         residual = abs(TWO_PI * m - bracket)
         rows.append(LimitRow(d, m, lim, abs(m - lim), residual))
     return rows

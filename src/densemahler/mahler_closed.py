@@ -133,9 +133,15 @@ def m_closed_volsum(spec: PdSpec) -> MahlerEstimate:
 def m_closed_aggregated(spec: PdSpec) -> MahlerEstimate:
     """Same value as the vol-sum route, via W(n) in O(d) Clausen calls."""
     d = spec.d
+    return _aggregated_estimate(spec, grid_weight_sum(d + 1), grid_weight_sum(d + 2))
+
+
+def _aggregated_estimate(spec: PdSpec, w1: float, w2: float) -> MahlerEstimate:
+    # m(P_d) and its bound from w1 = W(d+1) and w2 = W(d+2)
+    d = spec.d
     c1 = -2.0 / (d + 2.0)
     c2 = 2.0 / (d + 1.0)
-    total = c1 * grid_weight_sum(d + 1) + c2 * grid_weight_sum(d + 2)
+    total = c1 * w1 + c2 * w2
     bound = CL2_ERROR_BOUND * (abs(c1) * _weight_mass(d + 1)
                                + c2 * _weight_mass(d + 2)) / TWO_PI
     return MahlerEstimate(d, total / TWO_PI, METHOD_AGGREGATED, bound)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from densemahler import limits, mahler_closed
 from densemahler.limits import (blue_area_formula, blue_integral, error_E,
                                 in_blue, integral_reference, limit_report,
                                 limit_value, max_vol_on_blue,
@@ -117,3 +118,21 @@ def test_limit_report():
     assert rows[-1].gap < 0.01
     with pytest.raises(ValueError):
         limit_report([])
+
+
+def test_limit_report_computes_each_weight_sum_once(monkeypatch):
+    # a row needs W(d+1) and W(d+2) once each: m(P_d), E(d+1) and E(d+2)
+    # are all taken from them
+    ds = [1, 10, 1000]
+    expected = limit_report(ds)
+    calls = []
+    original = mahler_closed.grid_weight_sum
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(mahler_closed, "grid_weight_sum", counting)
+    monkeypatch.setattr(limits, "grid_weight_sum", counting)
+    assert limit_report(ds) == expected
+    assert calls == [n for d in ds for n in (d + 1, d + 2)]

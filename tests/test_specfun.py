@@ -7,12 +7,14 @@ constant and the maximum of Cl2.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from densemahler import specfun
 from densemahler.specfun import (CL2_ERROR_BOUND, bloch_wigner, cl2,
-                                 cl2_array, clausen_series, zeta3)
+                                 cl2_array, zeta3)
 
 TWO_PI = 2.0 * math.pi
 
@@ -21,6 +23,25 @@ TWO_PI = 2.0 * math.pi
 # the long-known decimal expansions)
 CATALAN = 0.915965594177219
 CL2_MAX = 1.0149416064096536  # Cl2(pi/3), the maximum over [0, 2*pi)
+
+
+def clausen_series(theta: float, n_terms: int = 1_000_000) -> float:
+    """Slow reference: the defining series truncated at n_terms.
+
+    The dropped tail is bounded by 1/n_terms in absolute value.  Used only as
+    an independent oracle for testing the fast evaluator.
+    """
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
+    chunk = 1_000_000
+    partials = []
+    start = 1
+    while start <= n_terms:
+        stop = min(start + chunk - 1, n_terms)
+        n = np.arange(start, stop + 1, dtype=float)
+        partials.append(float(np.sum(np.sin(n * theta) / (n * n))))
+        start = stop + 1
+    return math.fsum(partials)
 
 
 def test_trivial_angles():
@@ -104,6 +125,45 @@ def test_array_matches_scalar(rng):
     thetas = rng.uniform(-40.0, 40.0, 50_000)
     scalar = np.array([cl2(t) for t in thetas])
     assert np.array_equal(cl2_array(thetas), scalar)
+
+
+def test_blocks_give_the_one_pass_bits(monkeypatch, rng):
+    # with blocks of 7 angles every input is split, unevenly and across the
+    # rows of a 2-D array; the values must be the unblocked kernel's bits in
+    # the input's shape
+    grid = rng.uniform(-40.0, 40.0, (6, 9))
+    inputs = [np.float64(2.5), np.empty(0), grid, grid.T]
+    inputs += [rng.uniform(-40.0, 40.0, n) for n in (1, 7, 8, 50)]
+    expected = [cl2_array(th) for th in inputs]
+    sizes = []
+    block = specfun._cl2_block
+
+    def counting_block(th):
+        sizes.append(np.size(th))
+        return block(th)
+
+    monkeypatch.setattr(specfun, "_CL2_BLOCK", 7)
+    monkeypatch.setattr(specfun, "_cl2_block", counting_block)
+    for th, want in zip(inputs, expected):
+        sizes.clear()
+        got = cl2_array(th)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64),
+                              np.asarray(want).view(np.uint64))
+        assert max(sizes) <= 7 and sum(sizes) == np.size(th)
+
+
+def test_kernel_memory_stays_near_the_output():
+    # blocked, the series' temporaries are a few blocks, so the peak is the
+    # 8 MiB output plus change; one pass over 2^20 angles holds about 59 MB
+    theta = np.linspace(-10.0, 10.0, 1 << 20)
+    tracemalloc.start()
+    try:
+        cl2_array(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * theta.nbytes
 
 
 def test_bloch_wigner_complex_identities(rng):
