@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .limits import error_E, integral_reference, limit_report, riemann_sum
+from .limits import _error_E, integral_reference, limit_report, riemann_sum
 from .mahler_closed import (METHOD_AGGREGATED, METHOD_FLAGS, METHOD_ORACLE,
                             m_closed)
 from .mahler_oracle import default_config, m_oracle, vol_integral_quadrature
@@ -159,7 +159,7 @@ def cmd_report(args, parser) -> int:
         rows = []
         for n in ns:
             s = riemann_sum(n)
-            e = error_E(n)
+            e = _error_E(n, s)
             rows.append([str(n), _fmt(s), _fmt(e), _fmt(n * e)])
         _emit(args.out, "n,riemann_sum,E,nE", rows)
     else:  # pragma: no cover - argparse restricts choices

@@ -152,11 +152,12 @@ class PartitionReport:
 
 
 def partition_report(n: int) -> PartitionReport:
+    s_n = riemann_sum(n)
     return PartitionReport(
         n=n,
-        riemann_sum=riemann_sum(n),
+        riemann_sum=s_n,
         integral_ref=integral_reference(),
-        error_E=error_E(n),
+        error_E=_error_E(n, s_n),
         blue_area=blue_area_formula(n),
         max_vol_on_blue=max_vol_on_blue(n),
     )

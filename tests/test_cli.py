@@ -30,7 +30,7 @@ def test_measure_usage_errors(capsys):
     capsys.readouterr()
     assert run_cli(["measure", "--d", "2", "--method", "bogus"]) == 2
     capsys.readouterr()
-    # with 2 nodes the error estimate would compare the rule with itself
+    # with 2 nodes the error estimate's decay rate would start at the mean
     assert run_cli(["measure", "--d", "3", "--method", "oracle",
                     "--nodes", "2"]) == 2
     assert "at least 3 nodes" in capsys.readouterr().err
@@ -181,7 +181,7 @@ def test_numeric_failure_exit_code(monkeypatch, capsys):
 
 
 def test_every_arithmetic_error_exits_4(monkeypatch, capsys):
-    # the gamma of report toric and error_E's sandwich check raise errors
+    # the gamma of report toric and _error_E's sandwich check raise errors
     # outside the oracle's: they exit 4 too, not with a traceback
     import densemahler.cli as cli
     from densemahler.polynomials import SingularPointError
@@ -189,16 +189,35 @@ def test_every_arithmetic_error_exits_4(monkeypatch, capsys):
     def singular(*args):
         raise SingularPointError("injected singular point")
 
-    def sandwich(n):
+    def sandwich(n, s_n):
         raise ArithmeticError("injected sandwich violation")
 
     monkeypatch.setattr(cli, "toric_gamma", singular)
-    monkeypatch.setattr(cli, "error_E", sandwich)
+    monkeypatch.setattr(cli, "_error_E", sandwich)
     for argv, text in ((["report", "toric", "--d", "3"], "singular point"),
                        (["report", "riemann", "--n", "5"], "sandwich")):
         assert run_cli(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and text in err
+
+
+def test_riemann_report_computes_each_weight_sum_once(monkeypatch, capsys):
+    # each row takes S_n and E(n) from one W(n)
+    from densemahler import limits
+
+    assert run_cli(["report", "riemann", "--n", "50,100"]) == 0
+    expected = capsys.readouterr().out
+    calls = []
+    original = limits.grid_weight_sum
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(limits, "grid_weight_sum", counting)
+    assert run_cli(["report", "riemann", "--n", "50,100"]) == 0
+    assert capsys.readouterr().out == expected
+    assert calls == [50, 100]
 
 
 def test_bad_thread_env(monkeypatch, capsys):

@@ -136,3 +136,18 @@ def test_limit_report_computes_each_weight_sum_once(monkeypatch):
     monkeypatch.setattr(limits, "grid_weight_sum", counting)
     assert limit_report(ds) == expected
     assert calls == [n for d in ds for n in (d + 1, d + 2)]
+
+
+def test_partition_report_computes_the_weight_sum_once(monkeypatch):
+    # S_n and E(n) both come from one W(n)
+    expected = partition_report(50)
+    calls = []
+    original = limits.grid_weight_sum
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(limits, "grid_weight_sum", counting)
+    assert partition_report(50) == expected
+    assert calls == [50]

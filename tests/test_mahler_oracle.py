@@ -9,7 +9,7 @@ import pytest
 
 from densemahler import mahler_oracle, polynomials
 from densemahler.limits import integral_reference
-from densemahler.mahler_closed import m_closed_volsum
+from densemahler.mahler_closed import m_closed_aggregated, m_closed_volsum
 from densemahler.mahler_oracle import (ContinuationError, CurveArc,
                                        OracleError, QuadratureConfig,
                                        default_config,
@@ -58,8 +58,8 @@ def test_oracle_agreement_sample():
 
 
 def test_oracle_error_estimate_behaviour():
-    # with few nodes the half-node comparison sees real truncation, which
-    # must shrink as nodes double, and must dominate the actual change
+    # with few nodes the Legendre tail of each panel shows real truncation,
+    # which must shrink as nodes double, and must dominate the actual change
     for d in (2, 5):
         spec = PdSpec(d)
         r8 = m_oracle(spec, default_config(spec, 8))
@@ -112,12 +112,41 @@ def _mpmath_m(mpmath, d):
 
 
 def test_oracle_within_estimate_of_mpmath():
+    # the estimate is at least the real error at every node count, and at
+    # 64 nodes, where the rule is resolved, within 100x of it
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for d in list(range(1, 13)) + [20, 30]:
-            res = m_oracle(PdSpec(d))
-            ref = _mpmath_m(mpmath, d)
-            assert abs(res.value - float(ref)) <= res.error_estimate, d
+            ref = float(_mpmath_m(mpmath, d))
+            for nodes in (8, 16, 32, 64):
+                res = m_oracle(PdSpec(d), QuadratureConfig(nodes))
+                err = abs(res.value - ref)
+                assert err <= res.error_estimate, (d, nodes)
+                if nodes == 64:
+                    assert res.error_estimate <= 100 * max(err, 1e-16), d
+
+
+def test_oracle_within_estimate_of_closed_route():
+    # beyond the mpmath range: d = 60 against the aggregated closed sum
+    spec = PdSpec(60)
+    res = m_oracle(spec)
+    assert abs(res.value - m_closed_aggregated(spec).value) <= res.error_estimate
+
+
+@pytest.mark.parametrize("nodes", [8, 64])
+def test_oracle_evaluates_one_rule(monkeypatch, nodes):
+    # the error estimate reuses the rule's own values: one integrand call,
+    # on exactly panels x nodes angles
+    real = mahler_oracle._jensen_values
+    sizes = []
+
+    def counted(spec, thetas):
+        sizes.append(thetas.size)
+        return real(spec, thetas)
+
+    monkeypatch.setattr(mahler_oracle, "_jensen_values", counted)
+    res = m_oracle(PdSpec(7), QuadratureConfig(nodes))
+    assert sizes == [res.panels * nodes]
 
 
 @pytest.mark.parametrize("good_calls", [0, 1, 2])
@@ -162,7 +191,7 @@ def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(1)
     with pytest.raises(ValueError):
-        QuadratureConfig(2)  # half-node rule = the rule
+        QuadratureConfig(2)  # the decay rate would be fitted from a_0 on
 
 
 def test_singularity_placement_small_d():
