@@ -22,9 +22,8 @@ from .polynomials import (PdSpec, RootFindingError, SingularPointError,
                           eval_pd_rational, eval_partials, gauss_map, roots,
                           y_slice)
 from .specfun import CL2_ERROR_BOUND, bloch_wigner, cl2, cl2_array, zeta3
-from .toric import (RegularityError, RegularityReport, ToricPoint,
-                    check_regularity, diagonal_sign, enumerate_toric, epsilon,
-                    toric_gamma, toric_indices)
+from .toric import (RegularityError, RegularityReport, check_regularity,
+                    diagonal_sign, enumerate_toric, toric_gamma, toric_indices)
 from .volume import (Hessian2, in_triangle, vol, vol_array, vol_gradient,
                      vol_hessian, volume_v)
 

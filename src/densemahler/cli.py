@@ -13,9 +13,9 @@ Sweeps parallelize across d (MAHLER_THREADS sets the worker count, at most
 32); rows are buffered and written in ascending d regardless of completion
 order.
 
-Exit codes: 0 success, 2 usage error (also a d beyond the limit of a route
-whose memory grows like d^2), 3 I/O error, 4 numeric failure (any
-ArithmeticError, the base of the package's numeric errors).
+Exit codes: 0 success, 2 usage error (also a d or --grid-n beyond the limit
+of a route whose memory grows like its square), 3 I/O error, 4 numeric
+failure (any ArithmeticError, the base of the package's numeric errors).
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ import numpy as np
 from .limits import _error_E, integral_reference, limit_report, riemann_sum
 from .mahler_closed import (METHOD_AGGREGATED, METHOD_FLAGS, METHOD_ORACLE,
                             m_closed)
-from .mahler_oracle import default_config, m_oracle, vol_integral_quadrature
+from .mahler_oracle import m_oracle, vol_integral_quadrature
 from .polynomials import PdSpec
 from .specfun import TWO_PI
-from .toric import diagonal_sign, toric_gamma, toric_indices
+from .toric import (_require_quadratic_d, diagonal_sign, toric_gamma,
+                    toric_indices)
 from .volume import vol_array
 
 
@@ -60,8 +61,14 @@ def _worker_count() -> int:
     return min(32, n)
 
 
-def _parse_d_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part]
+def _parse_int_list(parser, text: str, flag: str) -> list:
+    try:
+        values = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        parser.error(f"{flag} must be a comma-separated list of integers")
+    if not values:
+        parser.error(f"{flag} lists no value")
+    return values
 
 
 def cmd_measure(args, parser) -> int:
@@ -70,7 +77,7 @@ def cmd_measure(args, parser) -> int:
     spec = PdSpec(args.d)
     method = METHOD_FLAGS[args.method]
     if method == METHOD_ORACLE:
-        res = m_oracle(spec, default_config(spec, args.nodes))
+        res = m_oracle(spec)
         value, bound = res.value, res.error_estimate
     else:
         est = m_closed(spec, method)
@@ -89,7 +96,7 @@ def cmd_sweep(args, parser) -> int:
         spec = PdSpec(d)
         m_c = m_closed(spec, METHOD_AGGREGATED).value
         if d <= args.oracle_up_to:
-            m_o = m_oracle(spec, default_config(spec, args.nodes)).value
+            m_o = m_oracle(spec).value
             return d, m_c, m_o
         return d, m_c, None
 
@@ -125,35 +132,33 @@ def cmd_report(args, parser) -> int:
         m = args.grid_n
         if m < 2:
             parser.error("--grid-n must be >= 2")
+        _require_quadratic_d(m, "--grid-n")
         step = TWO_PI / m
         # grid points i + j <= m, ordered by i then j
         i, j = np.nonzero(np.tri(m + 1, dtype=bool)[::-1])
         theta, alpha = i * step, j * step
-        rows = [[_fmt(t), _fmt(a), _fmt(v)] for t, a, v in
+        rows = ([_fmt(t), _fmt(a), _fmt(v)] for t, a, v in
                 zip(theta.tolist(), alpha.tolist(),
-                    vol_array(theta, alpha).tolist())]
+                    vol_array(theta, alpha).tolist()))
         _emit(args.out, "theta,alpha,vol", rows)
     elif kind == "limit":
         if not args.d:
             parser.error("report limit requires --d d1,d2,...")
-        try:
-            ds = _parse_d_list(args.d)
-        except ValueError:
-            parser.error("--d must be a comma-separated list of integers")
-        if not ds or any(d < 1 for d in ds):
+        ds = _parse_int_list(parser, args.d, "--d")
+        if any(d < 1 for d in ds):
             parser.error("all d must be >= 1")
         rows = [[str(r.d), _fmt(r.m_value), _fmt(r.limit), _fmt(r.gap),
                  _fmt(r.reconstruction_residual)] for r in limit_report(ds)]
         _emit(args.out, "d,m_closed,limit,gap,reconstruction_residual", rows)
     elif kind == "vol-integral":
         series = integral_reference()
-        quad = vol_integral_quadrature(nodes=args.nodes)
+        quad = vol_integral_quadrature()
         _emit(args.out, "series,quadrature,abs_diff",
               [[_fmt(series), _fmt(quad), _fmt(abs(series - quad))]])
     elif kind == "riemann":
         if not args.n_list:
             parser.error("report riemann requires --n n1,n2,...")
-        ns = _parse_d_list(args.n_list)
+        ns = _parse_int_list(parser, args.n_list, "--n")
         if any(n < 2 for n in ns):
             parser.error("all n must be >= 2")
         rows = []
@@ -178,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--d", type=int, required=True)
     p_measure.add_argument("--method", default="aggregated",
                            choices=sorted(METHOD_FLAGS))
-    p_measure.add_argument("--nodes", type=int, default=64,
-                           help="oracle nodes per quadrature panel")
 
     p_sweep = sub.add_parser("sweep", help="CSV of m(P_d) over a range")
     p_sweep.add_argument("--from", dest="d_from", type=int, required=True)
@@ -187,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--oracle-up-to", type=int, default=0,
                          dest="oracle_up_to",
                          help="also run the quadrature oracle for d up to this")
-    p_sweep.add_argument("--nodes", type=int, default=64)
     p_sweep.add_argument("--out", default=None)
 
     p_report = sub.add_parser("report", help="emit one of the standard reports")
@@ -198,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--grid-n", dest="grid_n", type=int, default=120)
     p_report.add_argument("--n", dest="n_list", default="",
                           help="comma-separated n values for the riemann report")
-    p_report.add_argument("--nodes", type=int, default=64)
     p_report.add_argument("--out", default=None)
     return parser
 

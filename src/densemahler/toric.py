@@ -19,14 +19,11 @@ from this closed description and always checks |P_d| <= 1e-10 at every one
 of them, to guard against implementation slips; diagonal_sign is the table
 above, elementwise on those arrays.  toric_gamma is gamma on those arrays (one
 gauss_map call), and check_regularity confirms with it that Im gamma never
-vanishes and that the sign table matches it at every point.  enumerate_toric
-lists the same points as ToricPoint objects.
+vanishes and that the sign table matches it at every point.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,47 +34,14 @@ from .specfun import TWO_PI
 TORIC_RESIDUAL_TOL = 1e-10
 REGULARITY_MIN_IM = 1e-8
 # Largest d of the routes whose memory grows like d^2 (toric_indices, and so
-# the pointwise route and report toric, and the vol-sum pairs); a larger d
-# raises a ValueError before allocating instead of asking for gigabytes.
+# the pointwise route and report toric, the vol-sum pairs, and the grid size
+# of report vol-grid); a larger d raises a ValueError before allocating
+# instead of asking for gigabytes.
 MAX_QUADRATIC_D = 1000
 
 
 class RegularityError(ArithmeticError):
     """A toric point where the Gauss map degenerates or the sign table fails."""
-
-
-@dataclass(frozen=True)
-class ToricPoint:
-    """A torus zero (e^{2 pi i k/n}, e^{2 pi i k'/n}) of P_d, n = modulus."""
-
-    d: int
-    k: int
-    k_prime: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus not in (self.d + 1, self.d + 2):
-            raise ValueError(f"modulus must be d+1 or d+2, got {self.modulus}")
-        if not (0 < self.k < self.modulus and 0 < self.k_prime < self.modulus):
-            raise ValueError(f"exponents must lie strictly between 0 and {self.modulus}")
-        if self.k == self.k_prime:
-            raise ValueError("no symmetric pair (x, x) is a torus zero")
-
-    @property
-    def x_angle(self) -> float:
-        return TWO_PI * self.k / self.modulus
-
-    @property
-    def y_angle(self) -> float:
-        return TWO_PI * self.k_prime / self.modulus
-
-    @property
-    def x(self) -> complex:
-        return cmath.exp(1j * self.x_angle)
-
-    @property
-    def y(self) -> complex:
-        return cmath.exp(1j * self.y_angle)
 
 
 @dataclass(frozen=True)
@@ -89,6 +53,11 @@ class RegularityReport:
     min_abs_im_gamma: float
 
 
+def _root_of_unity(k, n) -> np.ndarray:
+    """The torus coordinate e^{2 pi i k/n}, elementwise on int arrays."""
+    return np.exp(1j * (TWO_PI * k / n))
+
+
 def _guard_residuals(d: int, n: np.ndarray, k: np.ndarray,
                      kp: np.ndarray) -> np.ndarray:
     # |P_d| from the rational form with root-of-unity powers reduced by
@@ -96,18 +65,18 @@ def _guard_residuals(d: int, n: np.ndarray, k: np.ndarray,
     # P_d = [x (y^{d+1} - x^{d+1})/(y - x) - (y^{d+1} - 1)/(y - 1)] / (x - 1).
     # Plain Horner evaluation drifts past 1e-10 for d of a few hundred, which
     # would fail the guard on points that are exact zeros.
-    x = np.exp(2j * math.pi * (k / n))
-    y = np.exp(2j * math.pi * (kp / n))
-    x_pow = np.exp(2j * math.pi * (((d + 1) * k) % n) / n)
-    y_pow = np.exp(2j * math.pi * (((d + 1) * kp) % n) / n)
+    x, y = _root_of_unity(k, n), _root_of_unity(kp, n)
+    x_pow = _root_of_unity(((d + 1) * k) % n, n)
+    y_pow = _root_of_unity(((d + 1) * kp) % n, n)
     val = (x * (y_pow - x_pow) / (y - x) - (y_pow - 1.0) / (y - 1.0)) / (x - 1.0)
     return np.abs(val)
 
 
-def _require_quadratic_d(d: int) -> None:
+def _require_quadratic_d(d: int, name: str = "d") -> None:
     if d > MAX_QUADRATIC_D:
-        raise ValueError(f"d = {d} exceeds {MAX_QUADRATIC_D}, the largest d "
-                         "of the routes that need O(d^2) memory")
+        raise ValueError(f"{name} = {d} exceeds {MAX_QUADRATIC_D}, the largest "
+                         f"{name} of the routes whose memory grows with its "
+                         "square")
 
 
 def toric_indices(spec: PdSpec) -> tuple:
@@ -135,10 +104,12 @@ def toric_indices(spec: PdSpec) -> tuple:
 
 
 def enumerate_toric(spec: PdSpec) -> list:
-    """All toric points of P_d as ToricPoints, ordered by (modulus, k, k_prime)."""
-    n, k, kp = toric_indices(spec)
-    return [ToricPoint(spec.d, *idx)
-            for idx in zip(k.tolist(), kp.tolist(), n.tolist())]
+    """toric_indices(spec) as a list of (n, k, k') int tuples, in its order.
+
+    Kept only because the benchmark probes this name; ROADMAP item 1 deletes
+    it together with that probe.
+    """
+    return list(zip(*(a.tolist() for a in toric_indices(spec))))
 
 
 def diagonal_sign(d: int, n, k, kp):
@@ -149,16 +120,9 @@ def diagonal_sign(d: int, n, k, kp):
     return 1 - 2 * ((n == d + 1) == (k < kp))
 
 
-def epsilon(pt: ToricPoint) -> int:
-    """Sign -sign(Im gamma) from the diagonal rule, +1 or -1."""
-    return diagonal_sign(pt.d, pt.modulus, pt.k, pt.k_prime)
-
-
 def toric_gamma(spec: PdSpec, n, k, kp) -> np.ndarray:
     """The Gauss map gamma at the toric points with index arrays (n, k, k')."""
-    x = np.exp(1j * (TWO_PI * k / n))
-    y = np.exp(1j * (TWO_PI * kp / n))
-    return gauss_map(spec, x, y)
+    return gauss_map(spec, _root_of_unity(k, n), _root_of_unity(kp, n))
 
 
 def check_regularity(spec: PdSpec) -> RegularityReport:

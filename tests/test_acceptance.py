@@ -22,7 +22,7 @@ from densemahler.mahler_oracle import (CurveArc, eta_path_integral, m_oracle,
                                        vol_integral_quadrature)
 from densemahler.polynomials import PdSpec, eval_pd, gauss_map
 from densemahler.specfun import cl2
-from densemahler.toric import check_regularity, enumerate_toric, epsilon
+from densemahler.toric import check_regularity, diagonal_sign, toric_indices
 from densemahler.volume import vol, vol_array, vol_hessian
 
 TWO_PI = 2.0 * math.pi
@@ -144,7 +144,8 @@ def test_criterion_8_toric_structure():
     brute_ok = True
     for d in range(1, 7):
         spec = PdSpec(d)
-        expected = {(p.k, p.k_prime, p.modulus) for p in enumerate_toric(spec)}
+        n, k, kp = toric_indices(spec)
+        expected = set(zip(k.tolist(), kp.tolist(), n.tolist()))
         found = set()
         for n in (d + 1, d + 2):
             for k in range(n):
@@ -155,7 +156,7 @@ def test_criterion_8_toric_structure():
                         found.add((k, kp, n))
         brute_ok &= found == expected
     count_ok = all(
-        len(enumerate_toric(PdSpec(d)))
+        toric_indices(PdSpec(d))[0].size
         == d * (d - 1) + (d + 1) * d
         for d in range(1, 51))
     min_im = math.inf
@@ -166,11 +167,13 @@ def test_criterion_8_toric_structure():
     table = {(1, 2, 3): -1, (2, 1, 3): +1, (1, 2, 4): +1, (2, 1, 4): -1,
              (1, 3, 4): +1, (3, 1, 4): -1, (2, 3, 4): +1, (3, 2, 4): -1}
     spec2 = PdSpec(2)
-    for pt in enumerate_toric(spec2):
-        want = table[(pt.k, pt.k_prime, pt.modulus)]
-        got = epsilon(pt)
+    for n, k, kp in zip(*(a.tolist() for a in toric_indices(spec2))):
+        want = table[(k, kp, n)]
+        got = diagonal_sign(2, n, k, kp)
+        x = cmath.exp(2j * math.pi * k / n)
+        y = cmath.exp(2j * math.pi * kp / n)
         sign_ok &= got == want
-        sign_ok &= got == (-1 if gauss_map(spec2, pt.x, pt.y).imag > 0 else 1)
+        sign_ok &= got == (-1 if gauss_map(spec2, x, y).imag > 0 else 1)
     ok = brute_ok and count_ok and sign_ok and min_im > 1e-8
     assert _verdict(8, "toric: brute-force d<=6, counts d<=50, signs d<=30, "
                        "|Im gamma| > 1e-8", ok)

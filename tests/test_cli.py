@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 from conftest import run_cli
 
@@ -30,10 +31,10 @@ def test_measure_usage_errors(capsys):
     capsys.readouterr()
     assert run_cli(["measure", "--d", "2", "--method", "bogus"]) == 2
     capsys.readouterr()
-    # with 2 nodes the error estimate's decay rate would start at the mean
+    # the oracle's node count is a library setting, not a flag
     assert run_cli(["measure", "--d", "3", "--method", "oracle",
                     "--nodes", "2"]) == 2
-    assert "at least 3 nodes" in capsys.readouterr().err
+    assert "unrecognized arguments: --nodes 2" in capsys.readouterr().err
 
 
 def test_sweep_with_oracle(tmp_path, capsys, monkeypatch):
@@ -150,6 +151,15 @@ def test_report_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_empty_lists_are_usage_errors(capsys):
+    for argv in (["report", "riemann", "--n", ","],
+                 ["report", "limit", "--d", ","]):
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{argv[2]} lists no value" in err
+
+
 def test_quadratic_routes_refuse_large_d(capsys):
     # the O(d^2) routes fail with exit 2 before allocating their arrays
     import densemahler.cli  # noqa: F401  (imports are not the subject)
@@ -168,11 +178,28 @@ def test_quadratic_routes_refuse_large_d(capsys):
     capsys.readouterr()
 
 
+def test_vol_grid_refuses_large_grid_n(capsys):
+    # the grid has (m+1)(m+2)/2 points; 60000 would ask for gigabytes
+    import densemahler.cli  # noqa: F401  (imports are not the subject)
+
+    tracemalloc.start()
+    try:
+        for m in (1001, 60000):
+            assert run_cli(["report", "vol-grid", "--grid-n", str(m)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"--grid-n = {m} exceeds 1000" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_numeric_failure_exit_code(monkeypatch, capsys):
     import densemahler.cli as cli
     from densemahler.polynomials import RootFindingError
 
-    def boom(spec, cfg):
+    def boom(spec):
         raise RootFindingError("injected failure", 1.0)
 
     monkeypatch.setattr(cli, "m_oracle", boom)
@@ -229,6 +256,24 @@ def test_bad_thread_env(monkeypatch, capsys):
     # a huge value gets the default's ceiling; no pool is started here
     monkeypatch.setenv("MAHLER_THREADS", "1000000")
     assert cli._worker_count() == 32
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+            if line.startswith("densemahler ")]
+
+
+def test_readme_command_lines_run(tmp_path, capsys):
+    lines = _readme_command_lines()
+    assert len(lines) >= 9
+    for argv in lines:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert run_cli(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_entry_point_subprocess():

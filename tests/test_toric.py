@@ -4,14 +4,14 @@ import cmath
 import math
 import re
 
+import numpy as np
 import pytest
 
 from densemahler import toric
 from densemahler.mahler_closed import m_closed_pointwise, m_closed_volsum
 from densemahler.polynomials import PdSpec, eval_pd
-from densemahler.toric import (RegularityError, ToricPoint, check_regularity,
-                               diagonal_sign, enumerate_toric, epsilon,
-                               toric_indices)
+from densemahler.toric import (RegularityError, check_regularity,
+                               diagonal_sign, enumerate_toric, toric_indices)
 
 # sign table for d = 2 (both families), keyed by (k, k_prime, modulus)
 D2_EPSILON = {
@@ -22,34 +22,47 @@ D2_EPSILON = {
 }
 
 
+def _points(d):
+    """The toric points of P_d as (k, k', n) int tuples."""
+    n, k, kp = toric_indices(PdSpec(d))
+    return list(zip(k.tolist(), kp.tolist(), n.tolist()))
+
+
 def test_counts_small():
-    pts1 = enumerate_toric(PdSpec(1))
-    assert [(p.k, p.k_prime, p.modulus) for p in pts1] == [(1, 2, 3), (2, 1, 3)]
-    assert len(enumerate_toric(PdSpec(2))) == 8
-    assert sum(p.modulus == 3 for p in enumerate_toric(PdSpec(2))) == 2
-    assert len(enumerate_toric(PdSpec(3))) == 18
+    assert _points(1) == [(1, 2, 3), (2, 1, 3)]
+    assert len(_points(2)) == 8
+    assert sum(n == 3 for _, _, n in _points(2)) == 2
+    assert len(_points(3)) == 18
 
 
 def test_count_formula_up_to_50():
     for d in range(1, 51):
-        pts = enumerate_toric(PdSpec(d))
-        assert len(pts) == d * (d - 1) + (d + 1) * d
+        assert toric_indices(PdSpec(d))[0].size == d * (d - 1) + (d + 1) * d
+
+
+def test_enumerate_toric_lists_the_index_arrays():
+    for d in (1, 2, 7):
+        spec = PdSpec(d)
+        assert enumerate_toric(spec) == list(
+            zip(*(a.tolist() for a in toric_indices(spec))))
 
 
 def test_residual_invariant(rng):
     # plain evaluation vanishes at every enumerated point (moderate d)
     for d in (1, 2, 5, 13, 30, 50):
         spec = PdSpec(d)
-        pts = enumerate_toric(spec)
-        take = rng.choice(len(pts), size=min(len(pts), 120), replace=False)
+        n, k, kp = toric_indices(spec)
+        take = rng.choice(n.size, size=min(n.size, 120), replace=False)
         for i in take:
-            assert abs(eval_pd(spec, pts[i].x, pts[i].y)) <= 1e-10
+            x = cmath.exp(2j * math.pi * k[i] / n[i])
+            y = cmath.exp(2j * math.pi * kp[i] / n[i])
+            assert abs(eval_pd(spec, x, y)) <= 1e-10
 
 
 def test_brute_force_equivalence_small_d():
     for d in range(1, 7):
         spec = PdSpec(d)
-        expected = {(p.k, p.k_prime, p.modulus) for p in enumerate_toric(spec)}
+        expected = set(_points(d))
         found = set()
         for n in (d + 1, d + 2):
             for k in range(n):
@@ -63,39 +76,37 @@ def test_brute_force_equivalence_small_d():
 
 def test_no_symmetric_point():
     for d in (1, 2, 3, 10, 25):
-        assert all(p.k != p.k_prime
-                   for p in enumerate_toric(PdSpec(d)))
+        n, k, kp = toric_indices(PdSpec(d))
+        assert np.all(k != kp)
 
 
 def test_epsilon_d2_table():
     for (k, kp, n), want in D2_EPSILON.items():
-        assert epsilon(ToricPoint(2, k, kp, n)) == want
+        assert diagonal_sign(2, n, k, kp) == want
 
 
 def test_epsilon_d1():
     # for d = 1 the modulus-3 family is the d+2 one, so k < k' gives +1
-    assert epsilon(ToricPoint(1, 1, 2, 3)) == +1
-    assert epsilon(ToricPoint(1, 2, 1, 3)) == -1
+    assert diagonal_sign(1, 3, 1, 2) == +1
+    assert diagonal_sign(1, 3, 2, 1) == -1
 
 
 def test_epsilon_antisymmetry():
     for d in (1, 2, 3, 7, 12):
-        pts = enumerate_toric(PdSpec(d))
-        for p in pts:
-            swapped = ToricPoint(d, p.k_prime, p.k, p.modulus)
-            assert epsilon(swapped) == -epsilon(p)
-        # the elementwise rule on the index arrays agrees point by point
         n, k, kp = toric_indices(PdSpec(d))
-        assert [(p.modulus, p.k, p.k_prime) for p in pts] == list(
-            zip(n.tolist(), k.tolist(), kp.tolist()))
-        assert diagonal_sign(d, n, k, kp).tolist() == [epsilon(p) for p in pts]
+        eps = diagonal_sign(d, n, k, kp)
+        assert np.array_equal(diagonal_sign(d, n, kp, k), -eps)
+        # on the index arrays as on Python ints, point by point
+        assert eps.tolist() == [diagonal_sign(d, *p)
+                                for p in zip(n.tolist(), k.tolist(),
+                                             kp.tolist())]
 
 
 def test_residual_guard_names_point(monkeypatch):
     # with a negative tolerance every point fails the always-on guard
     monkeypatch.setattr(toric, "TORIC_RESIDUAL_TOL", -1.0)
     named = r"\(n, k, k'\) = \((\d+), (\d+), (\d+)\)"
-    for route in (enumerate_toric, m_closed_pointwise):
+    for route in (toric_indices, m_closed_pointwise):
         with pytest.raises(AssertionError, match=named) as info:
             route(PdSpec(2))
         n, k, kp = map(int, re.search(named, str(info.value)).groups())
@@ -104,19 +115,10 @@ def test_residual_guard_names_point(monkeypatch):
 
 def test_quadratic_routes_refuse_large_d():
     spec = PdSpec(toric.MAX_QUADRATIC_D + 1)
-    for route in (toric_indices, enumerate_toric, check_regularity,
-                  m_closed_pointwise, m_closed_volsum):
+    for route in (toric_indices, check_regularity, m_closed_pointwise,
+                  m_closed_volsum):
         with pytest.raises(ValueError, match="exceeds"):
             route(spec)
-
-
-def test_point_validation():
-    with pytest.raises(ValueError):
-        ToricPoint(2, 1, 1, 3)  # symmetric
-    with pytest.raises(ValueError):
-        ToricPoint(2, 0, 1, 3)  # trivial root of unity
-    with pytest.raises(ValueError):
-        ToricPoint(2, 1, 2, 5)  # wrong modulus
 
 
 def test_check_regularity():

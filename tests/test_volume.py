@@ -9,7 +9,7 @@ import pytest
 from conftest import interior_triangle_points
 from densemahler.polynomials import PdSpec
 from densemahler.specfun import bloch_wigner, cl2
-from densemahler.toric import enumerate_toric, toric_indices
+from densemahler.toric import toric_indices
 from densemahler.volume import (Hessian2, in_triangle, vol, vol_array,
                                 vol_gradient, vol_hessian, volume_v,
                                 volume_v_array)
@@ -121,11 +121,12 @@ def test_concavity_midpoints(rng):
 def test_volume_v_simplifies_at_toric_points():
     # on U_{d+1} the first bracket dies; on U_{d+2} it folds into the second
     spec = PdSpec(2)
-    for pt in enumerate_toric(spec):
-        tx, ty = pt.x_angle, pt.y_angle
+    for n, k, kp in zip(*(a.tolist() for a in toric_indices(spec))):
+        tx, ty = TWO_PI * k / n, TWO_PI * kp / n
         simple = cl2(tx) - cl2(ty) - cl2(tx - ty)
-        factor = 4.0 if pt.modulus == 3 else 3.0
-        assert abs(volume_v(spec, pt.x, pt.y) - simple / factor) <= 1e-12
+        factor = 4.0 if n == 3 else 3.0
+        v = volume_v(spec, cmath.exp(1j * tx), cmath.exp(1j * ty))
+        assert abs(v - simple / factor) <= 1e-12
 
 
 def test_volume_v_diagonal_vanishes(rng):
@@ -138,16 +139,16 @@ def test_volume_bridge_to_vol():
     # V = vol(2k pi/n, 2(k'-k) pi/n) / factor for k < k', negated under swap
     for d in range(2, 21):
         spec = PdSpec(d)
-        for pt in enumerate_toric(spec):
-            if pt.k >= pt.k_prime:
+        for n, k, kp in zip(*(a.tolist() for a in toric_indices(spec))):
+            if k >= kp:
                 continue
-            n = pt.modulus
             factor = d + 2 if n == d + 1 else d + 1
-            bridged = vol(TWO_PI * pt.k / n,
-                          TWO_PI * (pt.k_prime - pt.k) / n) / factor
-            direct = volume_v(spec, pt.x, pt.y)
+            bridged = vol(TWO_PI * k / n, TWO_PI * (kp - k) / n) / factor
+            x = cmath.exp(1j * (TWO_PI * k / n))
+            y = cmath.exp(1j * (TWO_PI * kp / n))
+            direct = volume_v(spec, x, y)
             assert abs(direct - bridged) <= 1e-10
-            assert abs(volume_v(spec, pt.y, pt.x) + direct) <= 1e-10
+            assert abs(volume_v(spec, y, x) + direct) <= 1e-10
 
 
 def test_volume_v_domain():
