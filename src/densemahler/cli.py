@@ -4,8 +4,9 @@ Subcommands
 -----------
 measure       one m(P_d) by a chosen route, printed with 12 decimals
 sweep         CSV d,m_closed,m_oracle,abs_diff over a range of d
-report        CSV/report emitters: toric points, vol grid, limit table,
-              vol-integral cross-check, Riemann-sum error table
+report        one subcommand per report, each with only its own flags:
+              toric --d, vol-grid --grid-n, limit --d d1,d2,...,
+              vol-integral, riemann --n n1,n2,...; all take --out
 
 All numeric output is locale-independent with 15 significant digits and
 "\n" line endings, so identical invocations produce byte-identical files.
@@ -61,19 +62,33 @@ def _worker_count() -> int:
     return min(32, n)
 
 
-def _parse_int_list(parser, text: str, flag: str) -> list:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        parser.error(f"{flag} must be a comma-separated list of integers")
-    if not values:
-        parser.error(f"{flag} lists no value")
-    return values
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= {low}, not {text!r}")
+    return convert
 
 
-def cmd_measure(args, parser) -> int:
-    if args.d < 1:
-        parser.error("--d must be >= 1")
+def _int_list_at_least(low: int):
+    """argparse type: a comma list of integers >= low, at least one."""
+    one = _int_at_least(low)
+
+    def convert(text: str) -> list:
+        values = [one(part) for part in text.split(",") if part]
+        if not values:
+            raise argparse.ArgumentTypeError("lists no value")
+        return values
+    return convert
+
+
+def cmd_measure(args) -> int:
     spec = PdSpec(args.d)
     method = METHOD_FLAGS[args.method]
     if method == METHOD_ORACLE:
@@ -87,18 +102,15 @@ def cmd_measure(args, parser) -> int:
     return 0
 
 
-def cmd_sweep(args, parser) -> int:
-    if args.d_from < 1 or args.d_from > args.d_to:
-        parser.error("need 1 <= --from <= --to")
+def cmd_sweep(args) -> int:
+    if args.d_from > args.d_to:
+        raise ValueError("need --from <= --to")
     ds = list(range(args.d_from, args.d_to + 1))
 
     def one(d: int):
         spec = PdSpec(d)
         m_c = m_closed(spec, METHOD_AGGREGATED).value
-        if d <= args.oracle_up_to:
-            m_o = m_oracle(spec).value
-            return d, m_c, m_o
-        return d, m_c, None
+        return d, m_c, m_oracle(spec).value if d <= args.oracle_up_to else None
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         results = list(pool.map(one, ds))
@@ -112,15 +124,10 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-def cmd_report(args, parser) -> int:
+def cmd_report(args) -> int:
     kind = args.kind
     if kind == "toric":
-        try:
-            d = int(args.d) if args.d is not None else 0
-        except ValueError:
-            parser.error("report toric requires an integer --d")
-        if d < 1:
-            parser.error("report toric requires --d >= 1")
+        d = args.d
         spec = PdSpec(d)
         n, k, kp = toric_indices(spec)
         # a generator: as a list, the 2 million rows at d = 1000 add 0.8 GB
@@ -130,8 +137,6 @@ def cmd_report(args, parser) -> int:
         _emit(args.out, "n,k,k_prime,eps,im_gamma", rows)
     elif kind == "vol-grid":
         m = args.grid_n
-        if m < 2:
-            parser.error("--grid-n must be >= 2")
         _require_quadratic_d(m, "--grid-n")
         step = TWO_PI / m
         # grid points i + j <= m, ordered by i then j
@@ -142,77 +147,71 @@ def cmd_report(args, parser) -> int:
                     vol_array(theta, alpha).tolist()))
         _emit(args.out, "theta,alpha,vol", rows)
     elif kind == "limit":
-        if not args.d:
-            parser.error("report limit requires --d d1,d2,...")
-        ds = _parse_int_list(parser, args.d, "--d")
-        if any(d < 1 for d in ds):
-            parser.error("all d must be >= 1")
         rows = [[str(r.d), _fmt(r.m_value), _fmt(r.limit), _fmt(r.gap),
-                 _fmt(r.reconstruction_residual)] for r in limit_report(ds)]
+                 _fmt(r.reconstruction_residual)] for r in limit_report(args.d)]
         _emit(args.out, "d,m_closed,limit,gap,reconstruction_residual", rows)
     elif kind == "vol-integral":
         series = integral_reference()
         quad = vol_integral_quadrature()
         _emit(args.out, "series,quadrature,abs_diff",
               [[_fmt(series), _fmt(quad), _fmt(abs(series - quad))]])
-    elif kind == "riemann":
-        if not args.n_list:
-            parser.error("report riemann requires --n n1,n2,...")
-        ns = _parse_int_list(parser, args.n_list, "--n")
-        if any(n < 2 for n in ns):
-            parser.error("all n must be >= 2")
+    else:  # riemann
         rows = []
-        for n in ns:
+        for n in args.n:
             s = riemann_sum(n)
             e = _error_E(n, s)
             rows.append([str(n), _fmt(s), _fmt(e), _fmt(n * e)])
         _emit(args.out, "n,riemann_sum,E,nE", rows)
-    else:  # pragma: no cover - argparse restricts choices
-        parser.error(f"unknown report kind {kind!r}")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="densemahler",
-        description="Mahler measure of the dense bivariate polynomial family "
-                    "by closed dilogarithm formula and numerical oracle.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Built once at import: building the argparse tree costs more than the
+# arithmetic of a small measure, and main may be called many times in one
+# process.  Each report kind is a subcommand of its own, so a flag of
+# another kind is a usage error.
+_PARSER = argparse.ArgumentParser(
+    prog="densemahler",
+    description="Mahler measure of the dense bivariate polynomial family "
+                "by closed dilogarithm formula and numerical oracle.")
+_OUT = argparse.ArgumentParser(add_help=False)
+_OUT.add_argument("--out", default=None, help="CSV file (default: stdout)")
+_commands = _PARSER.add_subparsers(dest="command", required=True)
 
-    p_measure = sub.add_parser("measure", help="compute one m(P_d)")
-    p_measure.add_argument("--d", type=int, required=True)
-    p_measure.add_argument("--method", default="aggregated",
-                           choices=sorted(METHOD_FLAGS))
+_measure = _commands.add_parser("measure", help="compute one m(P_d)")
+_measure.add_argument("--d", type=_int_at_least(1), required=True)
+_measure.add_argument("--method", default="aggregated",
+                      choices=sorted(METHOD_FLAGS))
 
-    p_sweep = sub.add_parser("sweep", help="CSV of m(P_d) over a range")
-    p_sweep.add_argument("--from", dest="d_from", type=int, required=True)
-    p_sweep.add_argument("--to", dest="d_to", type=int, required=True)
-    p_sweep.add_argument("--oracle-up-to", type=int, default=0,
-                         dest="oracle_up_to",
-                         help="also run the quadrature oracle for d up to this")
-    p_sweep.add_argument("--out", default=None)
+_sweep = _commands.add_parser("sweep", parents=[_OUT], help="CSV over a range")
+_sweep.add_argument("--from", dest="d_from", type=_int_at_least(1),
+                    required=True)
+_sweep.add_argument("--to", dest="d_to", type=int, required=True)
+_sweep.add_argument("--oracle-up-to", type=int, default=0, dest="oracle_up_to",
+                    help="also run the quadrature oracle for d up to this")
 
-    p_report = sub.add_parser("report", help="emit one of the standard reports")
-    p_report.add_argument("kind", choices=["toric", "vol-grid", "limit",
-                                           "vol-integral", "riemann"])
-    p_report.add_argument("--d", default=None,
-                          help="d for toric, or comma list for the limit report")
-    p_report.add_argument("--grid-n", dest="grid_n", type=int, default=120)
-    p_report.add_argument("--n", dest="n_list", default="",
-                          help="comma-separated n values for the riemann report")
-    p_report.add_argument("--out", default=None)
-    return parser
+_report = _commands.add_parser("report", help="emit one of the reports")
+_kinds = _report.add_subparsers(dest="kind", required=True)
+_toric = _kinds.add_parser("toric", parents=[_OUT], help="the torus zeros")
+_toric.add_argument("--d", type=_int_at_least(1), required=True)
+_vol_grid = _kinds.add_parser("vol-grid", parents=[_OUT], help="vol on a grid")
+_vol_grid.add_argument("--grid-n", type=_int_at_least(2), default=120)
+_limit = _kinds.add_parser("limit", parents=[_OUT], help="m(P_d) vs its limit")
+_limit.add_argument("--d", type=_int_list_at_least(1), required=True,
+                    help="comma-separated d values")
+_kinds.add_parser("vol-integral", parents=[_OUT], help="series vs quadrature")
+_riemann = _kinds.add_parser("riemann", parents=[_OUT], help="S_n and E(n)")
+_riemann.add_argument("--n", type=_int_list_at_least(2), required=True,
+                      help="comma-separated n values")
 
 
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "measure":
-            return cmd_measure(args, parser)
+            return cmd_measure(args)
         if args.command == "sweep":
-            return cmd_sweep(args, parser)
-        return cmd_report(args, parser)
+            return cmd_sweep(args)
+        return cmd_report(args)
     except ArithmeticError as exc:  # every numeric error of the package
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4

@@ -51,8 +51,6 @@ def limit_value() -> float:
 
 def riemann_sum(n: int) -> float:
     """S_n = (4 pi^2/n^2) sum_{0<k<k'<n} vol(2k pi/n, 2(k'-k) pi/n)."""
-    if n < 2:
-        raise ValueError(f"subpartition order must be >= 2, got {n}")
     return _riemann_sum(n, grid_weight_sum(n))
 
 

@@ -121,11 +121,8 @@ def m_closed_volsum(spec: PdSpec) -> MahlerEstimate:
     n_pairs1 = (d - 1) * d // 2
     n_pairs2 = d * (d + 1) // 2
     total = 0.0
-    if n_pairs1:
-        theta, alpha = _pair_grid(d + 1)
-        total += c1 * float(np.sum(vol_array(theta, alpha)))
-    theta, alpha = _pair_grid(d + 2)
-    total += c2 * float(np.sum(vol_array(theta, alpha)))
+    for c, n in ((c1, d + 1), (c2, d + 2)):  # d = 1's empty grid adds 0.0
+        total += c * float(np.sum(vol_array(*_pair_grid(n))))
     bound = 3.0 * CL2_ERROR_BOUND * (abs(c1) * n_pairs1 + c2 * n_pairs2) / TWO_PI
     return MahlerEstimate(d, total / TWO_PI, METHOD_VOLSUM, bound)
 

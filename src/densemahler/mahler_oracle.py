@@ -54,7 +54,7 @@ from .polynomials import (PdSpec, RootFindingError, aberth_roots_batch,
 from .specfun import TWO_PI
 from .volume import vol_array, volume_v
 
-_BATCH_LIMIT = 1536  # cap on simultaneous Aberth rows, keeps temporaries small
+_BATCH_LIMIT = 1536  # Aberth rows solved at once for d <= 30; fewer above
 _SEED_STRIDE = 12  # angles per warm-start seed: near enough for few sweeps
 _GRADING_DEPTH = 8  # vol_integral_quadrature's refinement levels per edge
 BRANCH_COLLISION_TOL = 1e-3
@@ -112,21 +112,23 @@ def _slice_root_blocks(spec: PdSpec, x0: np.ndarray, thetas: np.ndarray):
     is a seed; one cold solve starts the first block of seeds and each later
     block starts from the last seed before it.  Every slice then starts from
     the roots of its nearest seed.  A failure raises OracleError naming the
-    angle range of its block.
+    angle range of its block.  Aberth's temporaries hold rows * d^2 complex
+    values, so above d = 30 the rows per block shrink like 1/d^2.
     """
+    rows = max(1, min(_BATCH_LIMIT, _BATCH_LIMIT * 900 // spec.d ** 2))
     coeffs = slice_coeff_matrix(spec, x0)
     seed_coeffs, seed_thetas = coeffs[::_SEED_STRIDE], thetas[::_SEED_STRIDE]
     seeds = np.empty((seed_thetas.size, spec.d), dtype=complex)
     warm = _solve_slices(coeffs[:1], None, thetas[:1])[0]
-    for lo in range(0, seed_thetas.size, _BATCH_LIMIT):
-        hi = min(lo + _BATCH_LIMIT, seed_thetas.size)
+    for lo in range(0, seed_thetas.size, rows):
+        hi = min(lo + rows, seed_thetas.size)
         seeds[lo:hi] = _solve_slices(seed_coeffs[lo:hi], warm,
                                      seed_thetas[lo:hi])
         warm = seeds[hi - 1]
     nearest = np.minimum((np.arange(thetas.size) + _SEED_STRIDE // 2)
                          // _SEED_STRIDE, seeds.shape[0] - 1)
-    for lo in range(0, thetas.size, _BATCH_LIMIT):
-        hi = min(lo + _BATCH_LIMIT, thetas.size)
+    for lo in range(0, thetas.size, rows):
+        hi = min(lo + rows, thetas.size)
         yield lo, hi, _solve_slices(coeffs[lo:hi], seeds[nearest[lo:hi]],
                                     thetas[lo:hi])
 

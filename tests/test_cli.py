@@ -1,10 +1,12 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
+import argparse
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from conftest import run_cli
 
 D2_TORIC_ROWS = [
@@ -157,7 +159,47 @@ def test_empty_lists_are_usage_errors(capsys):
         assert run_cli(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"{argv[2]} lists no value" in err
+        assert f"argument {argv[2]}: lists no value" in err
+
+
+USAGE_ERRORS = [
+    (["measure", "--d", "0"], "--d"),
+    (["measure", "--d", "x"], "--d"),
+    (["sweep", "--from", "0", "--to", "3"], "--from"),
+    (["sweep", "--from", "5", "--to", "2"], "--from"),
+    (["report", "toric"], "--d"),
+    (["report", "toric", "--d", "0"], "--d"),
+    (["report", "toric", "--d", "2", "--grid-n", "5"], "--grid-n"),
+    (["report", "vol-grid", "--grid-n", "1"], "--grid-n"),
+    (["report", "limit", "--d", "0,3"], "--d"),
+    (["report", "limit", "--d", ","], "--d"),
+    (["report", "riemann", "--n", "1"], "--n"),
+    (["report", "riemann", "--n", ","], "--n"),
+    (["report", "vol-integral", "--d", "3"], "--d"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_errors_name_the_flag(argv, flag, capsys):
+    # each report kind takes only its own flags; argparse checks every range
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert flag in err
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    # the parser is built once, at import
+    import densemahler.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main constructed an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert cli.main(["measure", "--d", "3"]) == 0
+    assert run_cli(["report", "toric", "--d", "0"]) == 2
+    capsys.readouterr()
 
 
 def test_quadratic_routes_refuse_large_d(capsys):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,20 @@ def test_seeded_blocks_match_cold_solves():
     dist = np.abs(seeded[:, :, None] - cold[:, None, :])
     assert np.max(np.min(dist, axis=2)) <= 1e-10
     assert np.max(np.min(dist, axis=1)) <= 1e-10
+
+
+def test_oracle_memory_stays_bounded_in_d():
+    # Aberth's temporaries hold rows * d^2 values; above d = 30 the rows per
+    # block shrink like 1/d^2, so d = 60 peaks near d = 30's 49 MB, where a
+    # fixed row count would take 186 MB (and 48 GB at d = 1000)
+    tracemalloc.start()
+    try:
+        res = m_oracle(PdSpec(60))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    assert abs(res.value - m_closed_aggregated(PdSpec(60)).value) <= 1e-9
 
 
 def test_quadrature_config_validation():

@@ -4,7 +4,10 @@ mpmath is a test dependency only.  Cl2 is compared with mpmath's clsin(2, .)
 at the exact double angles, on a grid over |theta| <= 50 plus angles close
 to 0, pi and 2 pi, where the reduction and the logarithm are most delicate.
 The Gauss map that report toric prints is compared with its simplified
-closed form on both families of torus zeros, evaluated at 30 digits.
+closed form on both families of torus zeros, evaluated at 30 digits.  The
+three closed routes must each lie within their printed error bound of
+m(P_d) summed from clsin at 30 digits, and bloch_wigner must match
+Im Li2(z) + arg(1 - z) log|z| from mpmath's polylog.
 """
 
 import math
@@ -12,8 +15,10 @@ import math
 import mpmath
 import numpy as np
 
+from densemahler.mahler_closed import (m_closed_aggregated,
+                                       m_closed_pointwise, m_closed_volsum)
 from densemahler.polynomials import PdSpec
-from densemahler.specfun import CL2_ERROR_BOUND, cl2_array
+from densemahler.specfun import CL2_ERROR_BOUND, bloch_wigner, cl2_array
 from densemahler.toric import toric_gamma, toric_indices
 
 
@@ -58,3 +63,43 @@ def test_toric_gamma_matches_closed_form():
                 worst = max(worst, float(abs(g - want) / max(1, abs(want))))
     print(f"largest relative gamma error for d <= 40: {worst:.3e}")
     assert worst <= 1e-12
+
+
+def _weight_sum_mp(n: int):
+    # W(n) = sum_{j<n} (2n - 3j - 1) Cl2(2 pi j/n); Cl2(2 pi (n-j)/n) is
+    # -Cl2(2 pi j/n), so only j < n/2 needs a clsin call (Cl2(pi) = 0)
+    total = mpmath.mpf(0)
+    for j in range(1, (n + 1) // 2):
+        cl = mpmath.clsin(2, 2 * mpmath.pi * j / n)
+        total += ((2 * n - 3 * j - 1) - (2 * n - 3 * (n - j) - 1)) * cl
+    return total
+
+
+def test_closed_routes_within_their_bounds():
+    ds = (1, 2, 7, 30, 100, 200)
+    with mpmath.workdps(30):
+        w = {n: _weight_sum_mp(n) for d in ds for n in (d + 1, d + 2)}
+        for d in ds:
+            exact = ((-2 * w[d + 1] / (d + 2) + 2 * w[d + 2] / (d + 1))
+                     / (2 * mpmath.pi))
+            for route in (m_closed_pointwise, m_closed_volsum,
+                          m_closed_aggregated):
+                est = route(PdSpec(d))
+                err = float(abs(mpmath.mpf(est.value) - exact))
+                print(f"d = {d:3d} {est.method:17s} error {err:.2e}, "
+                      f"bound/error {est.error_bound / max(err, 1e-300):.1e}")
+                assert err <= est.error_bound, (d, est.method)
+
+
+def test_bloch_wigner_against_polylog(rng):
+    radius = np.exp(rng.uniform(-3.0, 3.0, 50))
+    zs = radius * np.exp(1j * rng.uniform(-math.pi, math.pi, 50))
+    worst = 0.0
+    with mpmath.workdps(30):
+        for z in zs.tolist():
+            zm = mpmath.mpc(z)
+            want = (mpmath.im(mpmath.polylog(2, zm))
+                    + mpmath.arg(1 - zm) * mpmath.log(abs(zm)))
+            worst = max(worst, float(abs(bloch_wigner(z) - want)))
+    print(f"largest |bloch_wigner - D| over 50 points = {worst:.3e}")
+    assert worst <= 1.5 * CL2_ERROR_BOUND

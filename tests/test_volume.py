@@ -135,20 +135,26 @@ def test_volume_v_diagonal_vanishes(rng):
         assert abs(volume_v(PdSpec(4), z, z)) <= 1e-12
 
 
-def test_volume_bridge_to_vol():
-    # V = vol(2k pi/n, 2(k'-k) pi/n) / factor for k < k', negated under swap
+def test_volume_bridge_to_vol(rng):
+    # V = vol(2k pi/n, 2(k'-k) pi/n) / factor for k < k', negated under swap:
+    # the torus kernel at every torus zero, the scalar V at 20 of them per d
     for d in range(2, 21):
         spec = PdSpec(d)
-        for n, k, kp in zip(*(a.tolist() for a in toric_indices(spec))):
-            if k >= kp:
-                continue
-            factor = d + 2 if n == d + 1 else d + 1
-            bridged = vol(TWO_PI * k / n, TWO_PI * (kp - k) / n) / factor
-            x = cmath.exp(1j * (TWO_PI * k / n))
-            y = cmath.exp(1j * (TWO_PI * kp / n))
-            direct = volume_v(spec, x, y)
-            assert abs(direct - bridged) <= 1e-10
-            assert abs(volume_v(spec, y, x) + direct) <= 1e-10
+        n, k, kp = toric_indices(spec)
+        below = k < kp
+        n, k, kp = n[below], k[below], kp[below]
+        factor = np.where(n == d + 1, d + 2, d + 1)
+        bridged = vol_array(TWO_PI * k / n, TWO_PI * (kp - k) / n) / factor
+        tx, ty = TWO_PI * k / n, TWO_PI * kp / n
+        direct, swapped = np.split(volume_v_array(
+            spec, np.concatenate([tx, ty]), np.concatenate([ty, tx])), 2)
+        assert np.max(np.abs(direct - bridged)) <= 1e-10
+        assert np.max(np.abs(swapped + direct)) <= 1e-10
+        for i in rng.choice(n.size, min(20, n.size), replace=False):
+            x, y = cmath.exp(1j * tx[i]), cmath.exp(1j * ty[i])
+            scalar = volume_v(spec, x, y)
+            assert abs(scalar - bridged[i]) <= 1e-10
+            assert abs(volume_v(spec, y, x) + scalar) <= 1e-10
 
 
 def test_volume_v_domain():
