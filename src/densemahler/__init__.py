@@ -6,9 +6,9 @@ quadrature oracle built on Jensen's formula, then reproduces the convergence
 of m(P_d) to 9 zeta(3) / (2 pi^2).
 """
 
-from .limits import (LimitRow, PartitionReport, error_E, integral_reference,
-                     limit_report, limit_value, partition_report,
-                     riemann_sum, triangular_partition)
+from .limits import (INTEGRAL, LIMIT, LimitRow, PartitionReport, error_E,
+                     limit_report, partition_report, riemann_sum,
+                     triangular_partition)
 from .mahler_closed import (METHOD_AGGREGATED, METHOD_ORACLE,
                             METHOD_POINTWISE, METHOD_VOLSUM, MahlerEstimate,
                             grid_weight_sum, m_closed, m_closed_aggregated,
@@ -18,10 +18,9 @@ from .mahler_oracle import (ContinuationError, CurveArc, OracleError,
                             eta_path_integral, m_oracle, primitive_check,
                             vol_integral_quadrature)
 from .polynomials import (PdSpec, RootFindingError, SingularPointError,
-                          aberth_roots_batch, eval_pd, eval_pd_array,
-                          eval_pd_rational, eval_partials, gauss_map, roots,
-                          y_slice)
-from .specfun import CL2_ERROR_BOUND, bloch_wigner, cl2, cl2_array, zeta3
+                          aberth_roots_batch, eval_pd_array, eval_pd_rational,
+                          eval_partials, gauss_map, roots)
+from .specfun import CL2_ERROR_BOUND, ZETA3, bloch_wigner, cl2, cl2_array
 from .toric import (RegularityError, RegularityReport, check_regularity,
                     diagonal_sign, enumerate_toric, toric_gamma, toric_indices)
 from .volume import (Hessian2, in_triangle, vol, vol_array, vol_gradient,

@@ -33,20 +33,15 @@ import numpy as np
 
 from .mahler_closed import _aggregated_estimate, _pair_grid, grid_weight_sum
 from .polynomials import PdSpec
-from .specfun import TWO_PI, zeta3
+from .specfun import TWO_PI, ZETA3
 from .volume import in_triangle, vol_array
 
 _SQUARE_NODES = 16  # Gauss-Legendre nodes per side of each square
 
-
-def integral_reference() -> float:
-    """The exact integral of vol over T: 6 pi zeta(3)."""
-    return 6.0 * math.pi * zeta3()
-
-
-def limit_value() -> float:
-    """The limit of the family's Mahler measure: 9 zeta(3) / (2 pi^2)."""
-    return 9.0 * zeta3() / (2.0 * math.pi ** 2)
+# The exact integral of vol over T, and the limit of the family's Mahler
+# measure.
+INTEGRAL = 6.0 * math.pi * ZETA3
+LIMIT = 9.0 * ZETA3 / (2.0 * math.pi ** 2)
 
 
 def riemann_sum(n: int) -> float:
@@ -65,17 +60,12 @@ def error_E(n: int) -> float:
 
 
 def _error_E(n: int, s_n: float) -> float:
-    gap = integral_reference() - s_n
+    gap = INTEGRAL - s_n
     if gap < -1e-9:
         raise ArithmeticError(
             f"Riemann sum exceeds the integral by {-gap:.3e} at n = {n}; "
             "the concavity sandwich is violated")
     return abs(gap)
-
-
-def square_centers(n: int) -> np.ndarray:
-    """Centers (2k pi/n, 2j pi/n), k, j >= 1, k + j <= n - 1, shape (S, 2)."""
-    return np.column_stack(_pair_grid(n))
 
 
 def in_blue(theta: np.ndarray, alpha: np.ndarray, n: int) -> np.ndarray:
@@ -99,23 +89,25 @@ def blue_area_formula(n: int) -> float:
 
 
 def squares_integral(n: int) -> float:
-    """Integral of vol over the union of subpartition squares, tensor GL."""
-    centers = square_centers(n)
-    if centers.size == 0:
-        return 0.0
+    """Integral of vol over the union of subpartition squares, tensor GL.
+
+    The squares are centered on the pair grid (2k pi/n, 2j pi/n), k, j >= 1,
+    k + j <= n - 1.
+    """
+    theta_c, alpha_c = _pair_grid(n)
     x, w = np.polynomial.legendre.leggauss(_SQUARE_NODES)
     half = math.pi / n
     offs = half * x
     ww = half * w
-    theta = centers[:, 0][:, None, None] + offs[None, :, None]
-    alpha = centers[:, 1][:, None, None] + offs[None, None, :]
+    theta = theta_c[:, None, None] + offs[None, :, None]
+    alpha = alpha_c[:, None, None] + offs[None, None, :]
     vals = vol_array(theta, alpha)
     return float(np.einsum("i,j,sij->", ww, ww, vals))
 
 
 def blue_integral(n: int) -> float:
     """eps(n) = integral of vol over the blue remainder (I minus squares)."""
-    return integral_reference() - squares_integral(n)
+    return INTEGRAL - squares_integral(n)
 
 
 def max_vol_on_blue(n: int) -> float:
@@ -143,7 +135,6 @@ class PartitionReport:
 
     n: int
     riemann_sum: float
-    integral_ref: float
     error_E: float
     blue_area: float
     max_vol_on_blue: float
@@ -154,7 +145,6 @@ def partition_report(n: int) -> PartitionReport:
     return PartitionReport(
         n=n,
         riemann_sum=s_n,
-        integral_ref=integral_reference(),
         error_E=_error_E(n, s_n),
         blue_area=blue_area_formula(n),
         max_vol_on_blue=max_vol_on_blue(n),
@@ -197,8 +187,6 @@ def limit_report(d_list: list) -> list:
     """
     if not d_list:
         raise ValueError("need at least one d")
-    ref = integral_reference()
-    lim = limit_value()
     rows = []
     for d in d_list:
         spec = PdSpec(d)
@@ -208,7 +196,7 @@ def limit_report(d_list: list) -> list:
         e2 = _error_E(d + 2, _riemann_sum(d + 2, w2))
         a = (d + 2) ** 2 / (2.0 * math.pi ** 2 * (d + 1))
         b = (d + 1) ** 2 / (2.0 * math.pi ** 2 * (d + 2))
-        bracket = (a * ref - b * ref + b * e1 - a * e2)
+        bracket = (a * INTEGRAL - b * INTEGRAL + b * e1 - a * e2)
         residual = abs(TWO_PI * m - bracket)
-        rows.append(LimitRow(d, m, lim, abs(m - lim), residual))
+        rows.append(LimitRow(d, m, LIMIT, abs(m - LIMIT), residual))
     return rows

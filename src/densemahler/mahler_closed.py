@@ -94,7 +94,7 @@ def _weight_mass(n: int) -> int:
 
 def _pair_grid(n: int) -> tuple:
     # exponent pairs 0 < k < k' <= n-1 mapped to (theta, alpha) grid angles,
-    # also the lattice of limits.square_centers
+    # also the square centers of limits.squares_integral
     i, jj = np.triu_indices(n - 1, k=1)
     k = i + 1.0
     kp = jj + 1.0
@@ -116,15 +116,10 @@ def m_closed_volsum(spec: PdSpec) -> MahlerEstimate:
     """The two explicit pair sums over vol; d <= toric.MAX_QUADRATIC_D."""
     d = spec.d
     _require_quadratic_d(d)
-    c1 = -2.0 / (d + 2.0)
-    c2 = 2.0 / (d + 1.0)
-    n_pairs1 = (d - 1) * d // 2
-    n_pairs2 = d * (d + 1) // 2
-    total = 0.0
-    for c, n in ((c1, d + 1), (c2, d + 2)):  # d = 1's empty grid adds 0.0
-        total += c * float(np.sum(vol_array(*_pair_grid(n))))
-    bound = 3.0 * CL2_ERROR_BOUND * (abs(c1) * n_pairs1 + c2 * n_pairs2) / TWO_PI
-    return MahlerEstimate(d, total / TWO_PI, METHOD_VOLSUM, bound)
+    # d = 1's empty grid sums to 0.0; each vol is three Clausen values
+    v1, v2 = (float(np.sum(vol_array(*_pair_grid(n)))) for n in (d + 1, d + 2))
+    return _two_grids(spec, METHOD_VOLSUM, v1, v2,
+                      3 * (d - 1) * d // 2, 3 * d * (d + 1) // 2)
 
 
 def m_closed_aggregated(spec: PdSpec) -> MahlerEstimate:
@@ -136,12 +131,19 @@ def m_closed_aggregated(spec: PdSpec) -> MahlerEstimate:
 def _aggregated_estimate(spec: PdSpec, w1: float, w2: float) -> MahlerEstimate:
     # m(P_d) and its bound from w1 = W(d+1) and w2 = W(d+2)
     d = spec.d
+    return _two_grids(spec, METHOD_AGGREGATED, w1, w2,
+                      _weight_mass(d + 1), _weight_mass(d + 2))
+
+
+def _two_grids(spec: PdSpec, method: str, x1: float, x2: float,
+               mass1: int, mass2: int) -> MahlerEstimate:
+    # 2 pi m(P_d) = c1 X(d+1) + c2 X(d+2) from a pair sum X over each grid;
+    # mass_i counts the Clausen values behind x_i, each times |its weight|
+    d = spec.d
     c1 = -2.0 / (d + 2.0)
     c2 = 2.0 / (d + 1.0)
-    total = c1 * w1 + c2 * w2
-    bound = CL2_ERROR_BOUND * (abs(c1) * _weight_mass(d + 1)
-                               + c2 * _weight_mass(d + 2)) / TWO_PI
-    return MahlerEstimate(d, total / TWO_PI, METHOD_AGGREGATED, bound)
+    bound = CL2_ERROR_BOUND * (abs(c1) * mass1 + c2 * mass2) / TWO_PI
+    return MahlerEstimate(d, (c1 * x1 + c2 * x2) / TWO_PI, method, bound)
 
 
 def m_closed(spec: PdSpec, method: str = METHOD_AGGREGATED) -> MahlerEstimate:

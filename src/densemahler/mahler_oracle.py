@@ -113,24 +113,24 @@ def _slice_root_blocks(spec: PdSpec, x0: np.ndarray, thetas: np.ndarray):
     block starts from the last seed before it.  Every slice then starts from
     the roots of its nearest seed.  A failure raises OracleError naming the
     angle range of its block.  Aberth's temporaries hold rows * d^2 complex
-    values, so above d = 30 the rows per block shrink like 1/d^2.
+    values, so above d = 30 the rows per block shrink like 1/d^2; each
+    block builds only its own rows of slice coefficients.
     """
     rows = max(1, min(_BATCH_LIMIT, _BATCH_LIMIT * 900 // spec.d ** 2))
-    coeffs = slice_coeff_matrix(spec, x0)
-    seed_coeffs, seed_thetas = coeffs[::_SEED_STRIDE], thetas[::_SEED_STRIDE]
+    seed_x0, seed_thetas = x0[::_SEED_STRIDE], thetas[::_SEED_STRIDE]
     seeds = np.empty((seed_thetas.size, spec.d), dtype=complex)
-    warm = _solve_slices(coeffs[:1], None, thetas[:1])[0]
+    warm = _solve_slices(slice_coeff_matrix(spec, x0[:1]), None, thetas[:1])[0]
     for lo in range(0, seed_thetas.size, rows):
         hi = min(lo + rows, seed_thetas.size)
-        seeds[lo:hi] = _solve_slices(seed_coeffs[lo:hi], warm,
-                                     seed_thetas[lo:hi])
+        seeds[lo:hi] = _solve_slices(slice_coeff_matrix(spec, seed_x0[lo:hi]),
+                                     warm, seed_thetas[lo:hi])
         warm = seeds[hi - 1]
     nearest = np.minimum((np.arange(thetas.size) + _SEED_STRIDE // 2)
                          // _SEED_STRIDE, seeds.shape[0] - 1)
     for lo in range(0, thetas.size, rows):
         hi = min(lo + rows, thetas.size)
-        yield lo, hi, _solve_slices(coeffs[lo:hi], seeds[nearest[lo:hi]],
-                                    thetas[lo:hi])
+        yield lo, hi, _solve_slices(slice_coeff_matrix(spec, x0[lo:hi]),
+                                    seeds[nearest[lo:hi]], thetas[lo:hi])
 
 
 def _jensen_values(spec: PdSpec, thetas: np.ndarray) -> np.ndarray:
@@ -179,16 +179,23 @@ class OracleResult:
     panels counts the panels integrated, those on [0, pi]; the integrand's
     mirror symmetry accounts for [pi, 2 pi].  error_estimate sums the
     panels' error estimates, each from the Legendre-coefficient tail of the
-    panel's own values plus a rounding floor (_panel_error), and
-    max_panel_contribution_change is the largest; both are scaled like
+    panel's own values plus a rounding floor (_panel_error), scaled like
     value, by 1/pi.
     """
 
     d: int
     value: float
     panels: int
-    max_panel_contribution_change: float
     error_estimate: float
+
+
+def _gauss_panels(breaks, nodes: np.ndarray) -> tuple:
+    # Legendre nodes on [-1, 1] mapped onto each panel between consecutive
+    # breaks: the points, shape (panels, nodes), and the panels' half-widths
+    breaks = np.asarray(breaks)
+    lo, hi = breaks[:-1], breaks[1:]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * nodes, half
 
 
 def m_oracle(spec: PdSpec, cfg: QuadratureConfig | None = None) -> OracleResult:
@@ -203,21 +210,15 @@ def m_oracle(spec: PdSpec, cfg: QuadratureConfig | None = None) -> OracleResult:
     """
     if cfg is None:
         cfg = default_config(spec)
-    breaks = np.asarray(_panel_breaks(spec.d))
-    lo, hi = breaks[:-1], breaks[1:]
-    n_panels, n_nodes = lo.size, cfg.nodes_per_panel
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    thetas = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = _jensen_values(spec, thetas).reshape(n_panels, n_nodes)
-    change = half * _panel_error(vals, x, w) / math.pi
+    x, w = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
+    thetas, half = _gauss_panels(_panel_breaks(spec.d), x)
+    vals = _jensen_values(spec, thetas.ravel()).reshape(thetas.shape)
     return OracleResult(
         d=spec.d,
         value=float(np.sum(half * (vals @ w))) / math.pi,
-        panels=n_panels,
-        max_panel_contribution_change=float(np.max(change)),
-        error_estimate=float(np.sum(change)),
+        panels=half.size,
+        error_estimate=float(np.sum(half * _panel_error(vals, x, w)
+                                    / math.pi)),
     )
 
 
@@ -313,12 +314,8 @@ def _graded_unit_rule(nodes: int, depth: int) -> tuple:
     # toward both endpoints, where the integrands behave like t*log(t)
     breaks = [0.0] + [2.0 ** -q for q in range(depth, 0, -1)]
     x, w = np.polynomial.legendre.leggauss(nodes)
-    pts, wts = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        pts.append(0.5 * (a + b) + 0.5 * (b - a) * x)
-        wts.append(0.5 * (b - a) * w)
-    pts = np.concatenate(pts)
-    wts = np.concatenate(wts)
+    pts, half = _gauss_panels(breaks, x)
+    pts, wts = pts.ravel(), (half[:, None] * w).ravel()
     return (np.concatenate([pts, 1.0 - pts[::-1]]),
             np.concatenate([wts, wts[::-1]]))
 

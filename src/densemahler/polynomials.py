@@ -57,18 +57,9 @@ class PdSpec:
         if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
             raise ValueError(f"family parameter d must be an integer >= 1, got {self.d!r}")
 
-    @property
-    def monomial_count(self) -> int:
-        return (self.d + 1) * (self.d + 2) // 2
-
-
-def eval_pd(spec: PdSpec, x: complex, y: complex) -> complex:
-    """P_d(x, y) by the double-Horner scheme, O(d) operations."""
-    return complex(eval_pd_array(spec, x, y))
-
 
 def eval_pd_array(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """P_d over arrays of points: Horner in y while growing S_m(x)."""
+    """P_d over arrays of points: Horner in y while growing S_m(x), O(d)."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     s = np.ones(np.broadcast(x, y).shape, dtype=complex)
@@ -89,7 +80,7 @@ def eval_pd_rational(spec: PdSpec, x: complex, y: complex) -> complex:
     if margin < RATIONAL_FORM_EXCLUSION:
         raise ValueError(
             f"point within {RATIONAL_FORM_EXCLUSION} of the removable locus "
-            "(x=1, y=1 or x=y); use eval_pd")
+            "(x=1, y=1 or x=y); use eval_pd_array")
     n = spec.d + 2
     num = (x ** n - 1.0) * (y - 1.0) - (y ** n - 1.0) * (x - 1.0)
     return num / ((x - 1.0) * (y - 1.0) * (x - y))
@@ -137,16 +128,12 @@ def gauss_map(spec: PdSpec, x, y):
     return (num / den).reshape(shape)[()]
 
 
-def y_slice(spec: PdSpec, x0: complex) -> np.ndarray:
-    """Coefficients S_d(x0), ..., S_0 = 1 of y -> P_d(x0, y), ascending."""
-    return slice_coeff_matrix(spec, complex(x0))[0]
-
-
 def slice_coeff_matrix(spec: PdSpec, x0: np.ndarray) -> np.ndarray:
-    """Slice coefficients for a batch of x0 values, shape (len(x0), d+1).
+    """Slice coefficients for a batch of x0 values, shape (x0.size, d+1).
 
-    Row i holds S_d(x0_i), ..., S_1(x0_i), S_0 = 1: ascending powers of y,
-    leading coefficient exactly 1.
+    Row i holds S_d(x0_i), ..., S_1(x0_i), S_0 = 1: the coefficients of
+    y -> P_d(x0_i, y) in ascending powers of y, leading coefficient exactly
+    1.  Rows are independent: a row has the same bits in any batch.
     """
     x0 = np.asarray(x0, dtype=complex)
     d = spec.d
@@ -209,7 +196,7 @@ def aberth_roots_batch(coeffs: np.ndarray,
     for _ in range(ABERTH_MAX_ITER):
         z = out[active]
         p = _polyval_batch(monic[active], z)
-        dp = _polyval_batch(deriv[active], z) if deg > 1 else np.ones_like(z)
+        dp = _polyval_batch(deriv[active], z)
         diff = z[:, :, None] - z[:, None, :]
         diff[:, idx, idx] = np.inf
         aberth_sum = (1.0 / diff).sum(axis=2)
@@ -232,7 +219,8 @@ def aberth_roots_batch(coeffs: np.ndarray,
 def roots(coefficients) -> list:
     """All degree-many roots of a polynomial, with multiplicity.
 
-    coefficients are in ascending powers (a y_slice row, say), degree >= 1.
+    coefficients are in ascending powers (a slice_coeff_matrix row, say),
+    degree >= 1.
     Zero roots (vanishing low-order coefficients) are split off exactly; the
     rest come from the Aberth solver.  Every returned root satisfies
     |p(root)| <= 1e-10 * (1 + max |coefficient|), otherwise a

@@ -60,7 +60,8 @@ def _zeta_em(s: float, n_direct: int = 120) -> float:
     return total + tail
 
 
-_ZETA3 = _zeta_em(3.0, n_direct=1000)
+# Apery's constant zeta(3), absolute error below 1e-14.
+ZETA3 = _zeta_em(3.0, n_direct=1000)
 
 # Coefficients c_n = zeta(2n) / (n*(2n+1)) of the reduced Clausen series.
 _N_TERMS = 32
@@ -70,11 +71,6 @@ _CL2_COEFFS = tuple(_zeta_em(2.0 * n) / (n * (2.0 * n + 1.0))
 # Angles per pass of the series: a block's temporaries (256 KB each) stay in
 # cache, where a pass over 1e6 angles streams 8 MB per operation.
 _CL2_BLOCK = 1 << 15
-
-
-def zeta3() -> float:
-    """Apery's constant zeta(3), absolute error below 1e-14."""
-    return _ZETA3
 
 
 def _cl2_block(th: np.ndarray) -> np.ndarray:

@@ -72,13 +72,6 @@ def vol_array(theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return cl2_array(theta) + cl2_array(alpha) - cl2_array(theta + alpha)
 
 
-def log_abs_one_minus_exp(t: float) -> float:
-    """log|1 - e^{it}| = log(2 sin(t/2)) for t in (0, 2*pi)."""
-    if not 0.0 < t < TWO_PI:
-        raise ValueError(f"t must lie strictly inside (0, 2*pi), got {t!r}")
-    return math.log(2.0 * math.sin(0.5 * t))
-
-
 def _require_interior(theta: float, alpha: float) -> None:
     s = theta + alpha
     if not (0.0 < theta < TWO_PI and 0.0 < alpha < TWO_PI and 0.0 < s < TWO_PI):
@@ -90,22 +83,22 @@ def _require_interior(theta: float, alpha: float) -> None:
 def vol_gradient(theta: float, alpha: float) -> tuple:
     """(d vol/d theta, d vol/d alpha) at a strictly interior point."""
     _require_interior(theta, alpha)
-    gs = log_abs_one_minus_exp(theta + alpha)
-    return (gs - log_abs_one_minus_exp(theta),
-            gs - log_abs_one_minus_exp(alpha))
+    # log|1 - e^{it}| = log(2 sin(t/2)) on the three angles in (0, 2 pi)
+    gs, gt, ga = (math.log(2.0 * math.sin(0.5 * t))
+                  for t in (theta + alpha, theta, alpha))
+    return gs - gt, gs - ga
 
 
 @dataclass(frozen=True)
 class Hessian2:
-    """Symmetric 2x2 Hessian of vol at an interior point."""
+    """Hessian [[h11, h12], [h12, h22]] of vol at an interior point."""
 
     h11: float
     h12: float
-    h21: float
     h22: float
 
     def determinant(self) -> float:
-        return self.h11 * self.h22 - self.h12 * self.h21
+        return self.h11 * self.h22 - self.h12 * self.h12
 
 
 def vol_hessian(theta: float, alpha: float) -> Hessian2:
@@ -114,7 +107,7 @@ def vol_hessian(theta: float, alpha: float) -> Hessian2:
     c_sum = 0.5 / math.tan(0.5 * (theta + alpha))
     c_theta = 0.5 / math.tan(0.5 * theta)
     c_alpha = 0.5 / math.tan(0.5 * alpha)
-    return Hessian2(c_sum - c_theta, c_sum, c_sum, c_sum - c_alpha)
+    return Hessian2(c_sum - c_theta, c_sum, c_sum - c_alpha)
 
 
 def volume_v_array(spec: PdSpec, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:

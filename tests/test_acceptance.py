@@ -14,13 +14,13 @@ import time
 import numpy as np
 
 from conftest import interior_triangle_points
-from densemahler.limits import error_E, integral_reference, limit_value
+from densemahler.limits import INTEGRAL, LIMIT, error_E
 from densemahler.mahler_closed import (m_closed_aggregated,
                                        m_closed_pointwise, m_closed_volsum)
 from densemahler.mahler_oracle import (CurveArc, eta_path_integral, m_oracle,
                                        primitive_check,
                                        vol_integral_quadrature)
-from densemahler.polynomials import PdSpec, eval_pd, gauss_map
+from densemahler.polynomials import PdSpec, eval_pd_array, gauss_map
 from densemahler.specfun import cl2
 from densemahler.toric import check_regularity, diagonal_sign, toric_indices
 from densemahler.volume import vol, vol_array, vol_hessian
@@ -72,7 +72,7 @@ def test_criterion_3_oracle_agreement():
 
 def test_criterion_4_limit():
     start = time.perf_counter()
-    lim = limit_value()
+    lim = LIMIT
     gaps = {d: abs(m_closed_aggregated(PdSpec(d)).value - lim)
             for d in (10, 100, 1000)}
     elapsed = time.perf_counter() - start
@@ -87,7 +87,7 @@ def test_criterion_5_integral_identity():
     start = time.perf_counter()
     quad = vol_integral_quadrature()
     elapsed = time.perf_counter() - start
-    diff = abs(quad - integral_reference())
+    diff = abs(quad - INTEGRAL)
     ok = diff <= 1e-6 and elapsed < 10.0
     assert _verdict(5, "2-D quadrature of vol = 6 pi zeta(3) within 1e-6, "
                        "<10s", ok), f"diff {diff:.3e}"
@@ -152,7 +152,7 @@ def test_criterion_8_toric_structure():
                 for kp in range(n):
                     x = cmath.exp(2j * math.pi * k / n)
                     y = cmath.exp(2j * math.pi * kp / n)
-                    if abs(eval_pd(spec, x, y)) <= 1e-10:
+                    if abs(eval_pd_array(spec, x, y)) <= 1e-10:
                         found.add((k, kp, n))
         brute_ok &= found == expected
     count_ok = all(

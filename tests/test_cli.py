@@ -292,9 +292,11 @@ def test_riemann_report_computes_each_weight_sum_once(monkeypatch, capsys):
 def test_bad_thread_env(monkeypatch, capsys):
     import densemahler.cli as cli
 
-    monkeypatch.setenv("MAHLER_THREADS", "0")
-    assert run_cli(["sweep", "--from", "1", "--to", "2"]) == 2
-    capsys.readouterr()
+    for bad in ("0", "abc"):
+        monkeypatch.setenv("MAHLER_THREADS", bad)
+        assert run_cli(["sweep", "--from", "1", "--to", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: MAHLER_THREADS must be a positive integer\n")
     # a huge value gets the default's ceiling; no pool is started here
     monkeypatch.setenv("MAHLER_THREADS", "1000000")
     assert cli._worker_count() == 32

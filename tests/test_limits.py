@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from densemahler import limits, mahler_closed
-from densemahler.limits import (blue_area_formula, blue_integral, error_E,
-                                in_blue, integral_reference, limit_report,
-                                limit_value, max_vol_on_blue,
-                                partition_report, riemann_sum, square_centers,
+from densemahler.limits import (INTEGRAL, LIMIT, blue_area_formula,
+                                blue_integral, error_E, in_blue, limit_report,
+                                max_vol_on_blue, partition_report, riemann_sum,
                                 triangular_partition)
 from densemahler.volume import vol
 
@@ -21,7 +20,7 @@ def test_riemann_sum_examples():
     expect = (4.0 * math.pi ** 2 / 9.0) * vol(TWO_PI / 3.0, TWO_PI / 3.0)
     assert abs(riemann_sum(3) - expect) <= 1e-12
     # large n approaches the integral
-    assert abs(riemann_sum(1600) - integral_reference()) < 1e-3
+    assert abs(riemann_sum(1600) - INTEGRAL) < 1e-3
     with pytest.raises(ValueError):
         riemann_sum(1)
 
@@ -34,7 +33,7 @@ def test_error_E_trend():
 
 
 def test_sandwich():
-    ref = integral_reference()
+    ref = INTEGRAL
     for n in (5, 10, 20):
         s = riemann_sum(n)
         eps = blue_integral(n)
@@ -43,8 +42,9 @@ def test_sandwich():
 
 
 def test_square_centers_inside_triangle():
+    # the squares of squares_integral are centered on the pair grid
     for n in (5, 12):
-        centers = square_centers(n)
+        centers = np.column_stack(mahler_closed._pair_grid(n))
         assert centers.shape[0] == (n - 1) * (n - 2) // 2
         half = math.pi / n
         # every square fits in T, touching the hypotenuse at worst
@@ -69,7 +69,6 @@ def test_partition_report_bound():
         rep = partition_report(n)
         assert rep.error_E >= 0.0
         assert rep.error_E <= rep.max_vol_on_blue * rep.blue_area + 1e-9
-        assert rep.integral_ref == integral_reference()
         assert rep.max_vol_on_blue <= vol(TWO_PI / 3, TWO_PI / 3) + 1e-9
 
 
@@ -111,7 +110,7 @@ def test_limit_report():
     rows = limit_report([10, 100, 1000])
     assert [r.d for r in rows] == [10, 100, 1000]
     for row in rows:
-        assert row.limit == limit_value()
+        assert row.limit == LIMIT
         assert row.reconstruction_residual <= 1e-8
     gaps = [r.gap for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from densemahler import mahler_closed
+from densemahler.limits import LIMIT
 from densemahler.mahler_closed import (METHOD_AGGREGATED, METHOD_POINTWISE,
                                        METHOD_VOLSUM, grid_weight_sum,
                                        m_closed, m_closed_aggregated,
                                        m_closed_pointwise, m_closed_volsum)
 from densemahler.polynomials import PdSpec
-from densemahler.specfun import CL2_ERROR_BOUND, cl2, cl2_array, zeta3
+from densemahler.specfun import CL2_ERROR_BOUND, cl2, cl2_array
 from densemahler.toric import toric_indices
 from densemahler.volume import vol
 
@@ -70,7 +71,7 @@ def test_aggregated_validated_against_naive_sum():
 
 
 def test_large_d_values_and_runtime():
-    lim = 9.0 * zeta3() / (2.0 * math.pi ** 2)
+    lim = LIMIT
     vals = {}
     for d in (10, 50, 100, 500, 1000):
         start = time.perf_counter()

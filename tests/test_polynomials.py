@@ -10,22 +10,19 @@ from densemahler import polynomials
 from densemahler.polynomials import (PdSpec, RootFindingError,
                                      SingularPointError,
                                      aberth_roots_batch, eval_partials,
-                                     eval_pd, eval_pd_array,
-                                     eval_pd_rational, gauss_map, roots,
-                                     y_slice)
+                                     eval_pd_array, eval_pd_rational,
+                                     gauss_map, roots, slice_coeff_matrix)
 from densemahler.toric import toric_indices
 
 
 def test_eval_examples():
-    assert eval_pd(PdSpec(1), 1.0, 1.0) == 3.0
+    assert eval_pd_array(PdSpec(1), 1.0, 1.0) == 3.0
     w = cmath.exp(2j * math.pi / 3)
-    assert abs(eval_pd(PdSpec(2), w, w ** 2)) <= 1e-12
-    assert eval_pd(PdSpec(3), 2.0, 0.0) == 15.0
+    assert abs(eval_pd_array(PdSpec(2), w, w ** 2)) <= 1e-12
+    assert eval_pd_array(PdSpec(3), 2.0, 0.0) == 15.0
 
 
 def test_monomial_count_and_validation():
-    assert PdSpec(1).monomial_count == 3
-    assert PdSpec(4).monomial_count == 15
     with pytest.raises(ValueError):
         PdSpec(0)
     with pytest.raises(ValueError):
@@ -40,7 +37,7 @@ def test_rational_form_identity(rng):
         y = complex(rng.normal(), rng.normal())
         if min(abs(x - 1), abs(y - 1), abs(x - y)) <= 0.1:
             continue
-        direct = eval_pd(PdSpec(d), x, y)
+        direct = eval_pd_array(PdSpec(d), x, y)
         closed = eval_pd_rational(PdSpec(d), x, y)
         assert abs(direct - closed) <= 1e-10 * max(1.0, abs(closed))
         checked += 1
@@ -56,8 +53,8 @@ def test_symmetry(rng):
         d = int(rng.integers(1, 11))
         x = complex(rng.normal(), rng.normal())
         y = complex(rng.normal(), rng.normal())
-        a = eval_pd(PdSpec(d), x, y)
-        b = eval_pd(PdSpec(d), y, x)
+        a = eval_pd_array(PdSpec(d), x, y)
+        b = eval_pd_array(PdSpec(d), y, x)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -70,7 +67,7 @@ def test_array_eval_matches_scalar(rng):
         # the defining double sum, independent of the Horner scheme
         ref = sum(complex(x[i]) ** a * complex(y[i]) ** b
                   for a in range(d + 1) for b in range(d + 1 - a))
-        for got in (vals[i], eval_pd(PdSpec(d), x[i], y[i])):
+        for got in (vals[i], eval_pd_array(PdSpec(d), x[i], y[i])):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
@@ -87,8 +84,9 @@ def test_partials_match_finite_differences(rng):
         x = complex(rng.normal(), rng.normal())
         y = complex(rng.normal(), rng.normal())
         px, py = eval_partials(PdSpec(d), x, y)
-        fx = (eval_pd(PdSpec(d), x + h, y) - eval_pd(PdSpec(d), x - h, y)) / (2 * h)
-        fy = (eval_pd(PdSpec(d), x, y + h) - eval_pd(PdSpec(d), x, y - h)) / (2 * h)
+        p = PdSpec(d)
+        fx = (eval_pd_array(p, x + h, y) - eval_pd_array(p, x - h, y)) / (2 * h)
+        fy = (eval_pd_array(p, x, y + h) - eval_pd_array(p, x, y - h)) / (2 * h)
         assert abs(px - fx) <= 1e-6 * max(1.0, abs(px))
         assert abs(py - fy) <= 1e-6 * max(1.0, abs(py))
 
@@ -119,34 +117,36 @@ def test_gauss_map_singular():
 
 
 def test_slice_examples():
-    assert y_slice(PdSpec(2), 0.0).tolist() == [1, 1, 1]
-    assert y_slice(PdSpec(1), -1.0).tolist() == [0, 1]
-    assert y_slice(PdSpec(2), 1.0).tolist() == [3, 2, 1]
+    assert slice_coeff_matrix(PdSpec(2), 0.0)[0].tolist() == [1, 1, 1]
+    assert slice_coeff_matrix(PdSpec(1), -1.0)[0].tolist() == [0, 1]
+    assert slice_coeff_matrix(PdSpec(2), 1.0)[0].tolist() == [3, 2, 1]
 
 
 def test_slice_shape(rng):
     for d in (1, 5, 12):
-        sl = y_slice(PdSpec(d), complex(rng.normal(), rng.normal()))
+        x0 = complex(rng.normal(), rng.normal())
+        sl = slice_coeff_matrix(PdSpec(d), x0)[0]
         assert sl.shape == (d + 1,)
         assert sl[-1] == 1.0
 
 
 def test_roots_cyclotomic():
-    got = sorted(roots(y_slice(PdSpec(2), 0.0)), key=lambda z: z.imag)
+    got = sorted(roots(slice_coeff_matrix(PdSpec(2), 0.0)[0]),
+                 key=lambda z: z.imag)
     w = cmath.exp(2j * math.pi / 3)
     assert abs(got[0] - w ** 2) <= 1e-12
     assert abs(got[1] - w) <= 1e-12
 
 
 def test_roots_zero_root():
-    assert roots(y_slice(PdSpec(1), -1.0)) == [0.0]
+    assert roots(slice_coeff_matrix(PdSpec(1), -1.0)[0]) == [0.0]
 
 
 def test_roots_contains_toric_partner():
     # (w^2, w^4) with w = e^{2 pi i/6} is a torus zero for d = 5, so the
     # slice through x0 = w^2 must vanish at w^4
     w = cmath.exp(2j * math.pi / 6)
-    rts = roots(y_slice(PdSpec(5), w ** 2))
+    rts = roots(slice_coeff_matrix(PdSpec(5), w ** 2)[0])
     assert min(abs(r - w ** 4) for r in rts) <= 1e-8
 
 
@@ -170,7 +170,7 @@ def test_roots_rejects_constant():
 
 
 def test_root_residuals_and_determinism(rng):
-    sl = y_slice(PdSpec(11), cmath.exp(0.83j))
+    sl = slice_coeff_matrix(PdSpec(11), cmath.exp(0.83j))[0]
     first = roots(sl)
     again = roots(sl)
     assert first == again  # deterministic for identical input
@@ -184,7 +184,6 @@ def test_root_residuals_and_determinism(rng):
 
 def test_aberth_batch_shapes_and_warm_start(rng):
     x0 = np.exp(1j * rng.uniform(0, 2 * np.pi, 32))
-    from densemahler.polynomials import slice_coeff_matrix
     cm = slice_coeff_matrix(PdSpec(6), x0)
     cold = aberth_roots_batch(cm)
     warm = aberth_roots_batch(cm, initial=cold[0])

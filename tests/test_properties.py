@@ -1,5 +1,6 @@
-"""Property tests: scalar entry points against their array kernels, and the
-symmetries of Cl2, the Bloch-Wigner D and vol.
+"""Property tests: scalar entry points against their array kernels, the
+symmetries of Cl2, the Bloch-Wigner D and vol, the two forms of P_d, and the
+residuals of roots.
 
 Each scalar function (cl2, vol, eval_partials, gauss_map) runs the array
 kernel on one point, so it must return exactly the bits of the matching
@@ -7,12 +8,16 @@ element of an array call.  The examples are derandomized, so the suite is
 deterministic.
 """
 
+import cmath
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from densemahler.polynomials import (PdSpec, SingularPointError,
-                                     eval_partials, gauss_map)
+from densemahler.polynomials import (RATIONAL_FORM_EXCLUSION, PdSpec,
+                                     SingularPointError, eval_partials,
+                                     eval_pd_array, eval_pd_rational,
+                                     gauss_map, roots)
 from densemahler.specfun import (CL2_ERROR_BOUND, TWO_PI, bloch_wigner, cl2,
                                  cl2_array)
 from densemahler.volume import vol, vol_array
@@ -93,3 +98,39 @@ def test_vol_nonnegative_on_triangle(point):
     # vol vanishes on the boundary, so only the three Clausen errors can
     # take it below zero
     assert vol(*point) >= -3.0 * CL2_ERROR_BOUND
+
+
+@PROPERTY
+@given(st.integers(1, 20), coords, coords, coords, coords)
+def test_horner_matches_rational_form_off_the_excluded_locus(d, a, b, c, e):
+    x, y = complex(a, b), complex(c, e)
+    assume(min(abs(x - 1.0), abs(y - 1.0), abs(x - y))
+           >= RATIONAL_FORM_EXCLUSION)
+    den = abs((x - 1.0) * (y - 1.0) * (x - y))
+    r = max(1.0, abs(x), abs(y))
+    # the rational form rounds terms up to 4 r^(d+3) before dividing by den;
+    # Horner adds (d+1)(d+2)/2 monomials of size up to r^d
+    tol = 8.0 * np.finfo(float).eps * (4.0 * r ** (d + 3) / den
+                                       + (d + 1) * (d + 2) * r ** d)
+    spec = PdSpec(d)
+    assert abs(eval_pd_array(spec, x, y) - eval_pd_rational(spec, x, y)) <= tol
+
+
+@PROPERTY
+@given(st.integers(0, 3),
+       st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                min_size=1, max_size=8),
+       st.floats(0.5, 2.0), st.floats(0.0, TWO_PI))
+def test_roots_residuals_within_documented_bound(zeros, pairs, lead, arg):
+    # zeros vanishing low-order coefficients, split off exactly by roots;
+    # |lead| >= 1/2 keeps every root within 1 + 2 sqrt(2) of the origin
+    c = ([0j] * zeros + [complex(a, b) for a, b in pairs]
+         + [cmath.rect(lead, arg)])
+    found = roots(c)
+    assert len(found) == len(c) - 1
+    scale = 1.0 + max(abs(v) for v in c)
+    for z in found:
+        value = 0j
+        for coeff in reversed(c):
+            value = value * z + coeff
+        assert abs(value) <= 1e-10 * scale

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from densemahler import specfun
-from densemahler.specfun import (CL2_ERROR_BOUND, bloch_wigner, cl2,
-                                 cl2_array, zeta3)
+from densemahler.limits import INTEGRAL, LIMIT
+from densemahler.specfun import (CL2_ERROR_BOUND, ZETA3, bloch_wigner, cl2,
+                                 cl2_array)
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,7 +71,7 @@ def test_bloch_wigner_alias():
 
 
 def test_zeta3_value_and_tail():
-    z = zeta3()
+    z = ZETA3
     assert abs(z - 1.202056903159594) <= 1e-14
     # cross-check against the raw partial sum to 1e6 with its leading tail
     n = np.arange(1, 1_000_001, dtype=float)
@@ -80,8 +81,8 @@ def test_zeta3_value_and_tail():
 
 
 def test_zeta3_derived_constants():
-    assert abs(9.0 * zeta3() / (2.0 * math.pi ** 2) - 0.548) < 1e-3
-    assert abs(6.0 * math.pi * zeta3() - 22.65823881697847) < 1e-10
+    assert abs(LIMIT - 0.548) < 1e-3
+    assert abs(INTEGRAL - 22.65823881697847) < 1e-10
 
 
 def test_antisymmetry_periodicity_duplication(rng):

@@ -87,7 +87,6 @@ def test_gradient_matches_finite_differences(rng):
 def test_hessian_closed_form(rng):
     H = vol_hessian(TWO_PI / 3, TWO_PI / 3)
     assert abs(H.h12 - (-1.0 / (2.0 * math.sqrt(3.0)))) <= 1e-12
-    assert H.h12 == H.h21
     for t, a in interior_triangle_points(rng, 100, 0.1):
         H = vol_hessian(t, a)
         assert H.h11 < 0.0
@@ -192,5 +191,5 @@ def test_volume_v_d1_is_classical_primitive(rng):
 
 
 def test_hessian_dataclass():
-    H = Hessian2(-1.0, 0.5, 0.5, -1.0)
+    H = Hessian2(-1.0, 0.5, -1.0)
     assert H.determinant() == 0.75
