@@ -258,10 +258,10 @@ def _match_branch(prev: complex, fibre: np.ndarray) -> complex:
     return complex(best)
 
 
-def _track_branch(spec: PdSpec, arc: CurveArc) -> tuple:
+def _track_branch(spec: PdSpec, arc: CurveArc) -> np.ndarray:
     """Roots along the fine grid (endpoints plus midpoints) on one branch.
 
-    Returns (t_grid, y_values) over 2*steps + 1 points, starting from the
+    Returns the branch values over 2*steps + 1 points, starting from the
     root of least (real, imaginary) part.  Every fibre comes from one
     _slice_root_blocks pass; an ambiguous match or a near-collision of roots
     raises ContinuationError (take more steps or move the arc).
@@ -276,7 +276,7 @@ def _track_branch(spec: PdSpec, arc: CurveArc) -> tuple:
     y[0] = min(fibres[0], key=lambda r: (r.real, r.imag))
     for i in range(1, m):
         y[i] = _match_branch(y[i - 1], fibres[i])
-    return t, y
+    return y
 
 
 def eta_path_integral(spec: PdSpec, arc: CurveArc) -> dict:
@@ -286,7 +286,7 @@ def eta_path_integral(spec: PdSpec, arc: CurveArc) -> dict:
     d arg(y) part telescopes exactly as the accumulated argument increments
     of the tracked branch, so its only error is in the branch samples.
     """
-    t, y = _track_branch(spec, arc)
+    y = _track_branch(spec, arc)
     h = (arc.t_end - arc.t_start) / arc.steps
     log_abs_mid = np.log(np.abs(y[1::2]))
     part_x = float(np.sum(log_abs_mid)) * h

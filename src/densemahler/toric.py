@@ -15,11 +15,11 @@ exponent pair lies:
     n = d + 2:  k < k' -> eps = +1,   k > k' -> eps = -1
 
 toric_indices builds the points as int arrays (modulus, k, k') with numpy
-from this closed description and always checks |P_d| <= 1e-10 at every one
-of them, to guard against implementation slips; diagonal_sign is the table
-above, elementwise on those arrays.  toric_gamma is gamma on those arrays (one
-gauss_map call), and check_regularity confirms with it that Im gamma never
-vanishes and that the sign table matches it at every point.
+from this closed description and checks every one of them against it in
+exact integers, to guard against implementation slips; diagonal_sign is the
+table above, elementwise on those arrays.  toric_gamma is gamma on those
+arrays (one gauss_map call), and check_regularity confirms with it that
+Im gamma never vanishes and that the sign table matches it at every point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from .polynomials import PdSpec, gauss_map
 from .specfun import TWO_PI
 
-TORIC_RESIDUAL_TOL = 1e-10
 REGULARITY_MIN_IM = 1e-8
 # Largest d of the routes whose memory grows like d^2 (toric_indices, and so
 # the pointwise route and report toric, the vol-sum pairs, and the grid size
@@ -58,18 +57,16 @@ def _root_of_unity(k, n) -> np.ndarray:
     return np.exp(1j * (TWO_PI * k / n))
 
 
-def _guard_residuals(d: int, n: np.ndarray, k: np.ndarray,
-                     kp: np.ndarray) -> np.ndarray:
-    # |P_d| from the rational form with root-of-unity powers reduced by
-    # integer modular arithmetic, so the d-fold power loses no accuracy:
-    # P_d = [x (y^{d+1} - x^{d+1})/(y - x) - (y^{d+1} - 1)/(y - 1)] / (x - 1).
-    # Plain Horner evaluation drifts past 1e-10 for d of a few hundred, which
-    # would fail the guard on points that are exact zeros.
-    x, y = _root_of_unity(k, n), _root_of_unity(kp, n)
-    x_pow = _root_of_unity(((d + 1) * k) % n, n)
-    y_pow = _root_of_unity(((d + 1) * kp) % n, n)
-    val = (x * (y_pow - x_pow) / (y - x) - (y_pow - 1.0) / (y - 1.0)) / (x - 1.0)
-    return np.abs(val)
+def _check_zero_set(d: int, n: np.ndarray, k: np.ndarray,
+                    kp: np.ndarray) -> None:
+    # the definition of U_n above, in exact integers
+    bad = (((n != d + 1) & (n != d + 2)) | (k <= 0) | (k >= n) | (kp <= 0)
+           | (kp >= n) | (k == kp))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise AssertionError(
+            f"enumerated point (n, k, k') = ({n[i]}, {k[i]}, {kp[i]}) is not "
+            f"in U_{d + 1} or U_{d + 2}")
 
 
 def _require_quadratic_d(d: int, name: str = "d") -> None:
@@ -82,9 +79,10 @@ def _require_quadratic_d(d: int, name: str = "d") -> None:
 def toric_indices(spec: PdSpec) -> tuple:
     """Int arrays (modulus, k, k') of all toric points, in that sort order.
 
-    The count is d(d-1) + (d+1)d.  Every point is checked to satisfy
-    |P_d| <= TORIC_RESIDUAL_TOL; an AssertionError names the first point
-    that does not.  d > MAX_QUADRATIC_D raises a ValueError.
+    The count is d(d-1) + (d+1)d.  Every point is checked against the
+    definition of U_n (n = d+1 or d+2, 0 < k, k' < n, k != k'); an
+    AssertionError names the first point that fails it.  d > MAX_QUADRATIC_D
+    raises a ValueError.
     """
     d = spec.d
     _require_quadratic_d(d)
@@ -93,13 +91,7 @@ def toric_indices(spec: PdSpec) -> tuple:
         i, j = np.nonzero(~np.eye(n - 1, dtype=bool))
         blocks.append((np.full(i.size, n), i + 1, j + 1))
     n, k, kp = (np.concatenate(col) for col in zip(*blocks))
-    residuals = _guard_residuals(d, n, k, kp)
-    worst = int(np.argmax(residuals))
-    if residuals[worst] > TORIC_RESIDUAL_TOL:
-        raise AssertionError(
-            f"enumerated point (n, k, k') = ({n[worst]}, {k[worst]}, "
-            f"{kp[worst]}) has residual {residuals[worst]:.3e} > "
-            f"{TORIC_RESIDUAL_TOL}")
+    _check_zero_set(d, n, k, kp)
     return n, k, kp
 
 

@@ -4,9 +4,10 @@ mpmath is a test dependency only.  Cl2 is compared with mpmath's clsin(2, .)
 at the exact double angles, on a grid over |theta| <= 50 plus angles close
 to 0, pi and 2 pi, where the reduction and the logarithm are most delicate.
 The Gauss map that report toric prints is compared with its simplified
-closed form on both families of torus zeros, evaluated at 30 digits.  The
-three closed routes must each lie within their printed error bound of
-m(P_d) summed from clsin at 30 digits, and bloch_wigner must match
+closed form on both families of torus zeros, evaluated at 30 digits, and
+P_d vanishes at the torus zeros of the largest d at 40 digits.  The three
+closed routes must each lie within their printed error bound of m(P_d)
+summed from clsin at 30 digits, up to d = 1000, and bloch_wigner must match
 Im Li2(z) + arg(1 - z) log|z| from mpmath's polylog.
 """
 
@@ -19,7 +20,7 @@ from densemahler.mahler_closed import (m_closed_aggregated,
                                        m_closed_pointwise, m_closed_volsum)
 from densemahler.polynomials import PdSpec
 from densemahler.specfun import CL2_ERROR_BOUND, bloch_wigner, cl2_array
-from densemahler.toric import toric_gamma, toric_indices
+from densemahler.toric import MAX_QUADRATIC_D, toric_gamma, toric_indices
 
 
 def _cl2_grid() -> np.ndarray:
@@ -65,18 +66,36 @@ def test_toric_gamma_matches_closed_form():
     assert worst <= 1e-12
 
 
+def test_zero_set_at_max_quadratic_d(rng):
+    # toric_indices only checks its rows against the definition of U_n, so
+    # P_d itself is evaluated here, from the rational form at 40 digits
+    d = MAX_QUADRATIC_D
+    n, k, kp = toric_indices(PdSpec(d))
+    assert n.size == d * (d - 1) + (d + 1) * d
+    # strictly increasing in (n, k, k'), so the rows are distinct
+    assert np.all(np.diff((n * (d + 3) + k) * (d + 3) + kp) > 0)
+    worst = mpmath.mpf(0)
+    with mpmath.workdps(40):
+        for i in rng.choice(n.size, size=100, replace=False).tolist():
+            x = mpmath.expjpi(mpmath.mpf(2 * int(k[i])) / int(n[i]))
+            y = mpmath.expjpi(mpmath.mpf(2 * int(kp[i])) / int(n[i]))
+            num = (x ** (d + 2) - 1) * (y - 1) - (y ** (d + 2) - 1) * (x - 1)
+            worst = max(worst, abs(num / ((x - 1) * (y - 1) * (x - y))))
+    print(f"largest |P_{d}| at 100 toric points: {float(worst):.3e}")
+    assert worst < 1e-25
+
+
 def _weight_sum_mp(n: int):
     # W(n) = sum_{j<n} (2n - 3j - 1) Cl2(2 pi j/n); Cl2(2 pi (n-j)/n) is
-    # -Cl2(2 pi j/n), so only j < n/2 needs a clsin call (Cl2(pi) = 0)
-    total = mpmath.mpf(0)
-    for j in range(1, (n + 1) // 2):
-        cl = mpmath.clsin(2, 2 * mpmath.pi * j / n)
-        total += ((2 * n - 3 * j - 1) - (2 * n - 3 * (n - j) - 1)) * cl
-    return total
+    # -Cl2(2 pi j/n) and Cl2(pi) = 0, so W(n) folds to
+    # sum_{j<n/2} 3(n - 2j) Cl2(2 pi j/n)
+    return mpmath.fsum(3 * (n - 2 * j) * mpmath.clsin(2, 2 * mpmath.pi * j / n)
+                       for j in range(1, (n + 1) // 2))
 
 
 def test_closed_routes_within_their_bounds():
-    ds = (1, 2, 7, 30, 100, 200)
+    # up to MAX_QUADRATIC_D, the largest d of the pointwise and vol-sum routes
+    ds = (1, 2, 7, 30, 100, 200, MAX_QUADRATIC_D)
     with mpmath.workdps(30):
         w = {n: _weight_sum_mp(n) for d in ds for n in (d + 1, d + 2)}
         for d in ds:
@@ -86,7 +105,7 @@ def test_closed_routes_within_their_bounds():
                           m_closed_aggregated):
                 est = route(PdSpec(d))
                 err = float(abs(mpmath.mpf(est.value) - exact))
-                print(f"d = {d:3d} {est.method:17s} error {err:.2e}, "
+                print(f"d = {d:4d} {est.method:17s} error {err:.2e}, "
                       f"bound/error {est.error_bound / max(err, 1e-300):.1e}")
                 assert err <= est.error_bound, (d, est.method)
 

@@ -102,15 +102,27 @@ def test_epsilon_antisymmetry():
                                              kp.tolist())]
 
 
-def test_residual_guard_names_point(monkeypatch):
-    # with a negative tolerance every point fails the always-on guard
-    monkeypatch.setattr(toric, "TORIC_RESIDUAL_TOL", -1.0)
+def test_zero_set_check_names_point(monkeypatch):
+    # each slip the integer check exists for, planted mid-array at d = 5:
+    # k = 0, k = k', k = n and a modulus other than d+1 and d+2
+    d = 5
     named = r"\(n, k, k'\) = \((\d+), (\d+), (\d+)\)"
-    for route in (toric_indices, m_closed_pointwise):
+    for slip in ((d + 1, 0, 2), (d + 2, 3, 3), (d + 1, d + 1, 1),
+                 (d + 3, 1, 2)):
+        rows = [a.copy() for a in toric_indices(PdSpec(d))]
+        for a, v in zip(rows, slip):
+            a[17] = v
         with pytest.raises(AssertionError, match=named) as info:
+            toric._check_zero_set(d, *rows)
+        got = tuple(map(int, re.search(named, str(info.value)).groups()))
+        assert got == slip
+    # an off-by-one in k: the enumeration and the pointwise route both raise
+    check = toric._check_zero_set
+    monkeypatch.setattr(toric, "_check_zero_set",
+                        lambda d, n, k, kp: check(d, n, k - 1, kp))
+    for route in (toric_indices, m_closed_pointwise):
+        with pytest.raises(AssertionError, match=r"= \(3, 0, 2\)"):
             route(PdSpec(2))
-        n, k, kp = map(int, re.search(named, str(info.value)).groups())
-        assert (k, kp, n) in D2_EPSILON
 
 
 def test_quadratic_routes_refuse_large_d():
