@@ -73,14 +73,22 @@ def grid_weight_sum(n: int) -> float:
     """W(n) = sum_{j=1}^{n-1} (2n - 3j - 1) Cl2(2 pi j / n), O(n) Clausen calls.
 
     The angles go to cl2_array _GRID_CHUNK at a time, so memory stays
-    bounded at any n; the chunk sums are added with math.fsum.
+    bounded at any n; the chunk sums are added with math.fsum.  Each chunk
+    holds three arrays: the angles, the weights (built in the buffer of j)
+    and the Clausen values.  The in-place steps round exactly as
+    (2n - 3j - 1) and 2 pi j / n do.
     """
     if n < 2:
         raise ValueError(f"grid order must be >= 2, got {n}")
 
     def chunk_sum(lo):
         j = np.arange(lo, min(lo + _GRID_CHUNK, n), dtype=float)
-        return float((2.0 * n - 3.0 * j - 1.0) @ cl2_array(TWO_PI * j / n))
+        theta = TWO_PI * j
+        theta /= n
+        j *= 3.0
+        np.subtract(2.0 * n, j, out=j)
+        j -= 1.0
+        return float(j @ cl2_array(theta))
 
     return math.fsum(map(chunk_sum, range(1, n, _GRID_CHUNK)))
 

@@ -86,11 +86,19 @@ def toric_indices(spec: PdSpec) -> tuple:
     """
     d = spec.d
     _require_quadratic_d(d)
-    blocks = []
-    for n in (d + 1, d + 2):
-        i, j = np.nonzero(~np.eye(n - 1, dtype=bool))
-        blocks.append((np.full(i.size, n), i + 1, j + 1))
-    n, k, kp = (np.concatenate(col) for col in zip(*blocks))
+    n, k, kp = (np.empty(d * (d - 1) + (d + 1) * d, dtype=int)
+                for _ in range(3))
+    lo = 0
+    for m in (d + 1, d + 2):
+        # the block of modulus m is an (m-1, m-2) grid: row k in 1..m-1
+        # holds k' in 1..m-1 without k, in increasing order
+        hi = lo + (m - 1) * (m - 2)
+        n[lo:hi] = m
+        row = np.arange(1, m)[:, None]
+        k[lo:hi].reshape(m - 1, m - 2)[...] = row
+        col = np.arange(1, m - 1)
+        np.add(col, col >= row, out=kp[lo:hi].reshape(m - 1, m - 2))
+        lo = hi
     _check_zero_set(d, n, k, kp)
     return n, k, kp
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,3 +133,26 @@ def test_weight_mass_closed_form():
     for n in range(2, 2001):
         j = np.arange(1, n)
         assert mahler_closed._weight_mass(n) == int(np.abs(2 * n - 3 * j - 1).sum())
+
+
+def test_grid_weight_sum_bits_and_memory():
+    # the grid is built in place, rounded step by step as the plain
+    # expressions are: W(n) is bitwise the fsum of the chunk dot products
+    # written out, for n on both sides of _GRID_CHUNK
+    chunk = mahler_closed._GRID_CHUNK
+    for n in (2, 3, 1001, 1 << 20, (1 << 20) + 1, (1 << 20) + 2):
+        parts = []
+        for lo in range(1, n, chunk):
+            j = np.arange(lo, min(lo + chunk, n), dtype=float)
+            parts.append(float((2.0 * n - 3.0 * j - 1.0)
+                               @ cl2_array(TWO_PI * j / n)))
+        assert grid_weight_sum(n).hex() == math.fsum(parts).hex()
+    # a full chunk holds its angles, its weights and the Clausen values
+    # (8 MiB each) plus the kernel's block temporaries
+    tracemalloc.start()
+    try:
+        grid_weight_sum((1 << 20) + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2 ** 20

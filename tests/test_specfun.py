@@ -120,6 +120,27 @@ def test_angle_reduction():
             cl2(bad)
 
 
+def test_reduction_touches_only_out_of_range_angles(monkeypatch, rng):
+    # only angles outside [0, 2*pi) go through np.mod, which returns the
+    # others unchanged, so the values are the bits of reducing every angle;
+    # blocks of 7 mix in-range and out-of-range angles
+    edges = np.array([-0.0, 5e-324, -5e-324, -1e-300, -1e-13,
+                      np.nextafter(TWO_PI, 0.0), TWO_PI, math.pi,
+                      np.nextafter(math.pi, 4.0), 1e15, -1e15])
+    mixed = rng.uniform(-40.0, 40.0, 200)
+    monkeypatch.setattr(specfun, "_CL2_BLOCK", 7)
+    for th in (mixed, edges, np.concatenate([mixed[:30], edges, mixed[30:]])):
+        assert np.array_equal(cl2_array(th).view(np.uint64),
+                              cl2_array(np.mod(th, TWO_PI)).view(np.uint64))
+    for t in edges:
+        got = cl2_array(np.float64(t))
+        assert np.shape(got) == ()
+        assert got.view(np.uint64) == cl2_array(np.mod(t, TWO_PI)).view(np.uint64)
+    # -0.0 and -1e-300 (which reduces to 2*pi) give +0.0, not -0.0
+    for t in (-0.0, -1e-300):
+        assert cl2(t) == 0.0 and math.copysign(1.0, cl2(t)) == 1.0
+
+
 def test_array_matches_scalar(rng):
     # about 1 angle in 7000 tells a rounding difference between the 0-d and
     # the array path apart (x ** 2 on a numpy scalar against x * x)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,22 @@ def test_brute_force_equivalence_small_d():
                     if abs(eval_pd_array(spec, x, y)) <= 1e-10:
                         found.add((k, kp, n))
         assert found == expected
+
+
+def test_index_arrays_in_sort_order_and_memory():
+    # the rows are U_{d+1} then U_{d+2}, each sorted by (k, k'), and the
+    # arrays are built in place: the peak stays near the 48 MB of output
+    for d in (1, 2, 3, 10, 57):
+        want = [(n, k, kp) for n in (d + 1, d + 2) for k in range(1, n)
+                for kp in range(1, n) if kp != k]
+        assert list(zip(*(a.tolist() for a in toric_indices(PdSpec(d))))) == want
+    tracemalloc.start()
+    try:
+        toric_indices(PdSpec(toric.MAX_QUADRATIC_D))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 def test_no_symmetric_point():
