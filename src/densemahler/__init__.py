@@ -21,8 +21,8 @@ from .polynomials import (PdSpec, RootFindingError, SingularPointError,
                           aberth_roots_batch, eval_pd_array, eval_pd_rational,
                           eval_partials, gauss_map, roots)
 from .specfun import CL2_ERROR_BOUND, ZETA3, bloch_wigner, cl2, cl2_array
-from .toric import (RegularityError, RegularityReport, check_regularity,
-                    diagonal_sign, enumerate_toric, toric_gamma, toric_indices)
+from .toric import (RegularityError, check_regularity, diagonal_sign,
+                    enumerate_toric, toric_gamma, toric_indices)
 from .volume import (Hessian2, in_triangle, vol, vol_array, vol_gradient,
                      vol_hessian, volume_v)
 

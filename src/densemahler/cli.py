@@ -15,8 +15,9 @@ Sweeps parallelize across d (MAHLER_THREADS sets the worker count, at most
 order.
 
 Exit codes: 0 success, 2 usage error (also a d or --grid-n beyond the limit
-of a route whose memory grows like its square), 3 I/O error, 4 numeric
-failure (any ArithmeticError, the base of the package's numeric errors).
+of a route whose memory grows like its square, or an oracle d beyond
+MAX_ORACLE_D), 3 I/O error, 4 numeric failure (any ArithmeticError, the base
+of the package's numeric errors).
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .limits import INTEGRAL, _error_E, limit_report, riemann_sum
+from .limits import INTEGRAL, LIMIT, _error_E, limit_report, riemann_sum
 from .mahler_closed import (METHOD_AGGREGATED, METHOD_FLAGS, METHOD_ORACLE,
                             m_closed)
-from .mahler_oracle import m_oracle, vol_integral_quadrature
+from .mahler_oracle import _require_oracle_d, m_oracle, vol_integral_quadrature
 from .polynomials import PdSpec
 from .specfun import TWO_PI
-from .toric import (_require_quadratic_d, diagonal_sign, toric_gamma,
-                    toric_indices)
+from .toric import _require_quadratic_d, check_regularity
 from .volume import vol_array
 
 
@@ -105,21 +105,20 @@ def cmd_measure(args) -> int:
 def cmd_sweep(args) -> int:
     if args.d_from > args.d_to:
         raise ValueError("need --from <= --to")
-    ds = list(range(args.d_from, args.d_to + 1))
+    top = min(args.d_to, args.oracle_up_to)  # the largest d of an oracle row
+    if top >= args.d_from:
+        _require_oracle_d(top)
 
-    def one(d: int):
+    def row(d: int) -> list:
         spec = PdSpec(d)
         m_c = m_closed(spec, METHOD_AGGREGATED).value
-        return d, m_c, m_oracle(spec).value if d <= args.oracle_up_to else None
+        if d > args.oracle_up_to:
+            return [str(d), _fmt(m_c), "", ""]
+        m_o = m_oracle(spec).value
+        return [str(d), _fmt(m_c), _fmt(m_o), _fmt(abs(m_c - m_o))]
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(pool.map(one, ds))
-    rows = []
-    for d, m_c, m_o in results:
-        if m_o is None:
-            rows.append([str(d), _fmt(m_c), "", ""])
-        else:
-            rows.append([str(d), _fmt(m_c), _fmt(m_o), _fmt(abs(m_c - m_o))])
+        rows = list(pool.map(row, range(args.d_from, args.d_to + 1)))
     _emit(args.out, "d,m_closed,m_oracle,abs_diff", rows)
     return 0
 
@@ -127,13 +126,11 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     kind = args.kind
     if kind == "toric":
-        d = args.d
-        spec = PdSpec(d)
-        n, k, kp = toric_indices(spec)
-        # a generator: as a list, the 2 million rows at d = 1000 add 0.8 GB
-        rows = ([str(a), str(b), str(c), f"{e:+d}", _fmt(g)]
-                for a, b, c, e, g in zip(n, k, kp, diagonal_sign(d, n, k, kp),
-                                         toric_gamma(spec, n, k, kp).imag))
+        # _emit joins every row before it opens the file, so a numeric
+        # failure leaves no partial CSV; the generator does not stream, it
+        # only spares the 0.8 GB of a list of the 2 million rows at d = 1000
+        rows = ([str(a), str(b), str(c), f"{e:+d}", _fmt(g)] for a, b, c, e, g
+                in zip(*check_regularity(PdSpec(args.d))))
         _emit(args.out, "n,k,k_prime,eps,im_gamma", rows)
     elif kind == "vol-grid":
         m = args.grid_n
@@ -147,7 +144,7 @@ def cmd_report(args) -> int:
                     vol_array(theta, alpha).tolist()))
         _emit(args.out, "theta,alpha,vol", rows)
     elif kind == "limit":
-        rows = [[str(r.d), _fmt(r.m_value), _fmt(r.limit), _fmt(r.gap),
+        rows = [[str(r.d), _fmt(r.m_value), _fmt(LIMIT), _fmt(r.gap),
                  _fmt(r.reconstruction_residual)] for r in limit_report(args.d)]
         _emit(args.out, "d,m_closed,limit,gap,reconstruction_residual", rows)
     elif kind == "vol-integral":

@@ -31,12 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mahler_closed import _aggregated_estimate, _pair_grid, grid_weight_sum
+from .mahler_closed import _aggregated_estimate, grid_weight_sum
 from .polynomials import PdSpec
 from .specfun import TWO_PI, ZETA3
 from .volume import in_triangle, vol_array
 
 _SQUARE_NODES = 16  # Gauss-Legendre nodes per side of each square
+# points per vol_array call in blue_integral and max_vol_on_blue, at any n
+_BLOCK_POINTS = 1 << 16
 
 # The exact integral of vol over T, and the limit of the family's Mahler
 # measure.
@@ -88,52 +90,55 @@ def blue_area_formula(n: int) -> float:
     return 2.0 * math.pi ** 2 * (3.0 * n - 2.0) / n ** 2
 
 
-def squares_integral(n: int) -> float:
-    """Integral of vol over the union of subpartition squares, tensor GL.
+def blue_integral(n: int) -> float:
+    """eps(n) = integral of vol over the blue remainder (I minus squares).
 
-    The squares are centered on the pair grid (2k pi/n, 2j pi/n), k, j >= 1,
-    k + j <= n - 1.
+    Tensor Gauss-Legendre over the squares centered on the pair grid
+    (2k pi/n, 2j pi/n), k, j >= 1, k + j <= n - 1, one row k and a block of
+    j at a time; math.fsum adds the block sums.
     """
-    theta_c, alpha_c = _pair_grid(n)
     x, w = np.polynomial.legendre.leggauss(_SQUARE_NODES)
     half = math.pi / n
     offs = half * x
     ww = half * w
-    theta = theta_c[:, None, None] + offs[None, :, None]
-    alpha = alpha_c[:, None, None] + offs[None, None, :]
-    vals = vol_array(theta, alpha)
-    return float(np.einsum("i,j,sij->", ww, ww, vals))
+    block = _BLOCK_POINTS // _SQUARE_NODES ** 2
 
+    def block_sum(k, lo):
+        theta = TWO_PI * k / n + offs[:, None]
+        j = np.arange(lo, min(lo + block, n - k))
+        alpha = (TWO_PI * j)[:, None, None] / n + offs
+        return float(np.einsum("i,j,sij->", ww, ww, vol_array(theta, alpha)))
 
-def blue_integral(n: int) -> float:
-    """eps(n) = integral of vol over the blue remainder (I minus squares)."""
-    return INTEGRAL - squares_integral(n)
+    return INTEGRAL - math.fsum(block_sum(k, lo) for k in range(1, n - 1)
+                                for lo in range(1, n - k, block))
 
 
 def max_vol_on_blue(n: int) -> float:
     """Estimated maximum of vol over the blue remainder.
 
     Samples quarter-cell midpoints of T classified as blue; an estimate only,
-    used in the one-sided bound E(n) <= max * area.
+    used in the one-sided bound E(n) <= max * area.  The grid is scanned a
+    block of rows at a time.
     """
     pitch = TWO_PI / (4 * n)
     m = 4 * n
     grid = (np.arange(m) + 0.5) * pitch
-    th, al = np.meshgrid(grid, grid, indexing="ij")
-    keep = th + al <= TWO_PI
-    th = th[keep]
-    al = al[keep]
-    blue = in_blue(th, al, n)
-    if not np.any(blue):
-        return 0.0
-    return float(np.max(vol_array(th[blue], al[blue])))
+    rows = max(1, _BLOCK_POINTS // m)
+    maxima = []
+    for lo in range(0, m, rows):
+        th, al = np.meshgrid(grid[lo:lo + rows], grid, indexing="ij")
+        keep = th + al <= TWO_PI
+        th, al = th[keep], al[keep]
+        blue = in_blue(th, al, n)
+        if np.any(blue):
+            maxima.append(float(np.max(vol_array(th[blue], al[blue]))))
+    return max(maxima, default=0.0)
 
 
 @dataclass(frozen=True)
 class PartitionReport:
     """Riemann-sum diagnostics for one subpartition order n."""
 
-    n: int
     riemann_sum: float
     error_E: float
     blue_area: float
@@ -143,7 +148,6 @@ class PartitionReport:
 def partition_report(n: int) -> PartitionReport:
     s_n = riemann_sum(n)
     return PartitionReport(
-        n=n,
         riemann_sum=s_n,
         error_E=_error_E(n, s_n),
         blue_area=blue_area_formula(n),
@@ -172,13 +176,12 @@ class LimitRow:
 
     d: int
     m_value: float
-    limit: float
     gap: float
     reconstruction_residual: float
 
 
 def limit_report(d_list: list) -> list:
-    """Convergence table: m(P_d), the limit, the gap, and the identity residual.
+    """Convergence table: m(P_d), its gap to LIMIT, and the identity residual.
 
     The residual checks |2 pi m(P_d) - [A(d) I - B(d) I + B(d) E(d+1)
     - A(d) E(d+2)]| with A = (d+2)^2/(2 pi^2 (d+1)), B = (d+1)^2/(2 pi^2 (d+2)),
@@ -189,14 +192,14 @@ def limit_report(d_list: list) -> list:
         raise ValueError("need at least one d")
     rows = []
     for d in d_list:
-        spec = PdSpec(d)
+        PdSpec(d)  # raises on a d that is not an integer >= 1
         w1, w2 = grid_weight_sum(d + 1), grid_weight_sum(d + 2)
-        m = _aggregated_estimate(spec, w1, w2).value
+        m = _aggregated_estimate(d, w1, w2).value
         e1 = _error_E(d + 1, _riemann_sum(d + 1, w1))
         e2 = _error_E(d + 2, _riemann_sum(d + 2, w2))
         a = (d + 2) ** 2 / (2.0 * math.pi ** 2 * (d + 1))
         b = (d + 1) ** 2 / (2.0 * math.pi ** 2 * (d + 2))
         bracket = (a * INTEGRAL - b * INTEGRAL + b * e1 - a * e2)
         residual = abs(TWO_PI * m - bracket)
-        rows.append(LimitRow(d, m, LIMIT, abs(m - LIMIT), residual))
+        rows.append(LimitRow(d, m, abs(m - LIMIT), residual))
     return rows

@@ -61,11 +61,9 @@ METHOD_FLAGS = {
 
 @dataclass(frozen=True)
 class MahlerEstimate:
-    """A value of m(P_d) with the route that produced it and its error budget."""
+    """A value of m(P_d) with its error budget."""
 
-    d: int
     value: float
-    method: str
     error_bound: float
 
 
@@ -101,8 +99,7 @@ def _weight_mass(n: int) -> int:
 
 
 def _pair_grid(n: int) -> tuple:
-    # exponent pairs 0 < k < k' <= n-1 mapped to (theta, alpha) grid angles,
-    # also the square centers of limits.squares_integral
+    # exponent pairs 0 < k < k' <= n-1 mapped to (theta, alpha) grid angles
     i, jj = np.triu_indices(n - 1, k=1)
     k = i + 1.0
     kp = jj + 1.0
@@ -117,7 +114,7 @@ def m_closed_pointwise(spec: PdSpec) -> MahlerEstimate:
     total = float(eps @ volume_v_array(spec, TWO_PI * k / n, TWO_PI * kp / n))
     # each V: 3 Clausen values over (d+1)(d+2) plus 3 over d+2 = 3/(d+1)
     bound = 3.0 * n.size * CL2_ERROR_BOUND / ((d + 1.0) * TWO_PI)
-    return MahlerEstimate(d, total / TWO_PI, METHOD_POINTWISE, bound)
+    return MahlerEstimate(total / TWO_PI, bound)
 
 
 def m_closed_volsum(spec: PdSpec) -> MahlerEstimate:
@@ -126,32 +123,28 @@ def m_closed_volsum(spec: PdSpec) -> MahlerEstimate:
     _require_quadratic_d(d)
     # d = 1's empty grid sums to 0.0; each vol is three Clausen values
     v1, v2 = (float(np.sum(vol_array(*_pair_grid(n)))) for n in (d + 1, d + 2))
-    return _two_grids(spec, METHOD_VOLSUM, v1, v2,
-                      3 * (d - 1) * d // 2, 3 * d * (d + 1) // 2)
+    return _two_grids(d, v1, v2, 3 * (d - 1) * d // 2, 3 * d * (d + 1) // 2)
 
 
 def m_closed_aggregated(spec: PdSpec) -> MahlerEstimate:
     """Same value as the vol-sum route, via W(n) in O(d) Clausen calls."""
     d = spec.d
-    return _aggregated_estimate(spec, grid_weight_sum(d + 1), grid_weight_sum(d + 2))
+    return _aggregated_estimate(d, grid_weight_sum(d + 1), grid_weight_sum(d + 2))
 
 
-def _aggregated_estimate(spec: PdSpec, w1: float, w2: float) -> MahlerEstimate:
+def _aggregated_estimate(d: int, w1: float, w2: float) -> MahlerEstimate:
     # m(P_d) and its bound from w1 = W(d+1) and w2 = W(d+2)
-    d = spec.d
-    return _two_grids(spec, METHOD_AGGREGATED, w1, w2,
-                      _weight_mass(d + 1), _weight_mass(d + 2))
+    return _two_grids(d, w1, w2, _weight_mass(d + 1), _weight_mass(d + 2))
 
 
-def _two_grids(spec: PdSpec, method: str, x1: float, x2: float,
-               mass1: int, mass2: int) -> MahlerEstimate:
+def _two_grids(d: int, x1: float, x2: float, mass1: int,
+               mass2: int) -> MahlerEstimate:
     # 2 pi m(P_d) = c1 X(d+1) + c2 X(d+2) from a pair sum X over each grid;
     # mass_i counts the Clausen values behind x_i, each times |its weight|
-    d = spec.d
     c1 = -2.0 / (d + 2.0)
     c2 = 2.0 / (d + 1.0)
     bound = CL2_ERROR_BOUND * (abs(c1) * mass1 + c2 * mass2) / TWO_PI
-    return MahlerEstimate(d, (c1 * x1 + c2 * x2) / TWO_PI, method, bound)
+    return MahlerEstimate((c1 * x1 + c2 * x2) / TWO_PI, bound)
 
 
 def m_closed(spec: PdSpec, method: str = METHOD_AGGREGATED) -> MahlerEstimate:

@@ -57,6 +57,10 @@ from .volume import vol_array, volume_v
 _BATCH_LIMIT = 1536  # Aberth rows solved at once for d <= 30; fewer above
 _SEED_STRIDE = 12  # angles per warm-start seed: near enough for few sweeps
 _GRADING_DEPTH = 8  # vol_integral_quadrature's refinement levels per edge
+_VOL_NODES = 64  # vol_integral_quadrature's Gauss nodes per graded panel
+# Largest d of m_oracle and eta_path_integral, whose time grows like d^3:
+# 10 s at d = 120 (the README's timing table), hours at d = 1000.
+MAX_ORACLE_D = 120
 BRANCH_COLLISION_TOL = 1e-3
 
 
@@ -85,6 +89,12 @@ class QuadratureConfig:
 def default_config(spec: PdSpec, nodes_per_panel: int = 64) -> QuadratureConfig:
     """The oracle's configuration; spec is not used, the panels depend on d."""
     return QuadratureConfig(nodes_per_panel)
+
+
+def _require_oracle_d(d: int) -> None:
+    if d > MAX_ORACLE_D:
+        raise ValueError(f"oracle d = {d} exceeds MAX_ORACLE_D = {MAX_ORACLE_D}"
+                         "; the oracle's time grows like d^3")
 
 
 def _panel_breaks(d: int) -> list:
@@ -183,7 +193,6 @@ class OracleResult:
     value, by 1/pi.
     """
 
-    d: int
     value: float
     panels: int
     error_estimate: float
@@ -207,14 +216,15 @@ def m_oracle(spec: PdSpec, cfg: QuadratureConfig | None = None) -> OracleResult:
     Gauss-Legendre nodes (default_config when cfg is None).  The integrand
     is evaluated once, at those nodes, and the error estimate is read from
     the same values, panel by panel (_panel_error; reported, not proven).
+    d > MAX_ORACLE_D raises a ValueError.
     """
+    _require_oracle_d(spec.d)
     if cfg is None:
         cfg = default_config(spec)
     x, w = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
     thetas, half = _gauss_panels(_panel_breaks(spec.d), x)
     vals = _jensen_values(spec, thetas.ravel()).reshape(thetas.shape)
     return OracleResult(
-        d=spec.d,
         value=float(np.sum(half * (vals @ w))) / math.pi,
         panels=half.size,
         error_estimate=float(np.sum(half * _panel_error(vals, x, w)
@@ -285,7 +295,9 @@ def eta_path_integral(spec: PdSpec, arc: CurveArc) -> dict:
     The d arg(x) part is a composite midpoint rule in t (arg x(t) = t); the
     d arg(y) part telescopes exactly as the accumulated argument increments
     of the tracked branch, so its only error is in the branch samples.
+    d > MAX_ORACLE_D raises a ValueError.
     """
+    _require_oracle_d(spec.d)
     y = _track_branch(spec, arc)
     h = (arc.t_end - arc.t_start) / arc.steps
     log_abs_mid = np.log(np.abs(y[1::2]))
@@ -320,13 +332,14 @@ def _graded_unit_rule(nodes: int, depth: int) -> tuple:
             np.concatenate([wts, wts[::-1]]))
 
 
-def vol_integral_quadrature(nodes: int = 64) -> float:
+def vol_integral_quadrature() -> float:
     """2-D integral of vol over the triangle; must match 6 pi zeta(3).
 
     Outer integral in alpha over [0, 2*pi], inner in theta over
-    [0, 2*pi - alpha], both with the graded composite Gauss rule.
+    [0, 2*pi - alpha], both with the graded composite Gauss rule of
+    _VOL_NODES nodes per panel.
     """
-    u, wu = _graded_unit_rule(nodes, _GRADING_DEPTH)
+    u, wu = _graded_unit_rule(_VOL_NODES, _GRADING_DEPTH)
     alpha = TWO_PI * u
     w_alpha = TWO_PI * wu
     length = TWO_PI - alpha

@@ -19,12 +19,11 @@ from this closed description and checks every one of them against it in
 exact integers, to guard against implementation slips; diagonal_sign is the
 table above, elementwise on those arrays.  toric_gamma is gamma on those
 arrays (one gauss_map call), and check_regularity confirms with it that
-Im gamma never vanishes and that the sign table matches it at every point.
+Im gamma never vanishes and that the sign table matches it at every point;
+it returns the table it checked, which is what report toric prints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,15 +40,6 @@ MAX_QUADRATIC_D = 1000
 
 class RegularityError(ArithmeticError):
     """A toric point where the Gauss map degenerates or the sign table fails."""
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Outcome of the pointwise Gauss-map check over all toric points."""
-
-    d: int
-    point_count: int
-    min_abs_im_gamma: float
 
 
 def _root_of_unity(k, n) -> np.ndarray:
@@ -125,17 +115,19 @@ def toric_gamma(spec: PdSpec, n, k, kp) -> np.ndarray:
     return gauss_map(spec, _root_of_unity(k, n), _root_of_unity(kp, n))
 
 
-def check_regularity(spec: PdSpec) -> RegularityReport:
-    """Confirm Im gamma != 0 and eps = -sign(Im gamma) at every toric point.
+def check_regularity(spec: PdSpec) -> tuple:
+    """The torus zeros with their signs and Im gamma, checked at every point.
 
-    Returns the minimum |Im gamma| observed (O(1) at small d; the threshold
-    REGULARITY_MIN_IM only guards against gross errors).  Raises
-    RegularityError naming the first offending point as (n, k, k').
+    Returns the arrays (n, k, k', eps, Im gamma) in toric_indices order once
+    every point has |Im gamma| > REGULARITY_MIN_IM (O(1) at small d; the
+    threshold only guards against gross errors) and eps = -sign(Im gamma).
+    Raises RegularityError naming the first offending point as (n, k, k').
     """
     n, k, kp = toric_indices(spec)
+    eps = diagonal_sign(spec.d, n, k, kp)
     im = toric_gamma(spec, n, k, kp).imag
     small = np.abs(im) <= REGULARITY_MIN_IM
-    bad = small | (diagonal_sign(spec.d, n, k, kp) != np.where(im > 0, -1, 1))
+    bad = small | (eps != np.where(im > 0, -1, 1))
     if np.any(bad):
         i = int(np.argmax(bad))
         at = f"(n, k, k') = ({n[i]}, {k[i]}, {kp[i]})"
@@ -143,4 +135,4 @@ def check_regularity(spec: PdSpec) -> RegularityReport:
             raise RegularityError(
                 f"|Im gamma| = {abs(im[i]):.3e} <= {REGULARITY_MIN_IM} at {at}")
         raise RegularityError(f"sign table disagrees with computed gamma at {at}")
-    return RegularityReport(spec.d, n.size, float(np.min(np.abs(im))))
+    return n, k, kp, eps, im

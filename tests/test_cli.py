@@ -253,6 +253,7 @@ def test_every_arithmetic_error_exits_4(monkeypatch, capsys):
     # the gamma of report toric and _error_E's sandwich check raise errors
     # outside the oracle's: they exit 4 too, not with a traceback
     import densemahler.cli as cli
+    from densemahler import toric
     from densemahler.polynomials import SingularPointError
 
     def singular(*args):
@@ -261,13 +262,63 @@ def test_every_arithmetic_error_exits_4(monkeypatch, capsys):
     def sandwich(n, s_n):
         raise ArithmeticError("injected sandwich violation")
 
-    monkeypatch.setattr(cli, "toric_gamma", singular)
+    monkeypatch.setattr(toric, "toric_gamma", singular)
     monkeypatch.setattr(cli, "_error_E", sandwich)
     for argv, text in ((["report", "toric", "--d", "3"], "singular point"),
                        (["report", "riemann", "--n", "5"], "sandwich")):
         assert run_cli(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and text in err
+
+
+def test_report_toric_prints_only_checked_rows(tmp_path, monkeypatch, capsys):
+    # a sign table that disagrees with gamma at one point exits 4 before
+    # any file is opened
+    from densemahler import toric
+
+    table = toric.diagonal_sign
+
+    def one_flipped(d, n, k, kp):
+        eps = table(d, n, k, kp)
+        eps[5] = -eps[5]
+        return eps
+
+    monkeypatch.setattr(toric, "diagonal_sign", one_flipped)
+    out = tmp_path / "f"
+    assert run_cli(["report", "toric", "--d", "3", "--out", str(out)]) == 4
+    assert "sign table disagrees" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_d_limit_exits_2(monkeypatch, capsys):
+    # above MAX_ORACLE_D, measure and sweep refuse before computing anything
+    import densemahler.cli as cli
+    from densemahler import mahler_oracle
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed a value")
+
+    monkeypatch.setattr(mahler_oracle, "aberth_roots_batch", never)
+    monkeypatch.setattr(cli, "m_closed", never)
+    limit = mahler_oracle.MAX_ORACLE_D
+    top = str(limit + 1)
+    for argv in (["measure", "--d", top, "--method", "oracle"],
+                 ["sweep", "--from", "1", "--to", top, "--oracle-up-to", top],
+                 ["sweep", "--from", "1", "--to", "1000",
+                  "--oracle-up-to", top]):
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"oracle d = {top} exceeds MAX_ORACLE_D = {limit}" in err
+
+
+def test_sweep_oracle_limit_counts_only_oracle_rows(tmp_path):
+    # rows above --oracle-up-to never run the oracle, so a large
+    # --oracle-up-to below --from is no reason to refuse
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", "--from", "500", "--to", "501",
+                    "--oracle-up-to", "200", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].endswith(",,")
 
 
 def test_riemann_report_computes_each_weight_sum_once(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Riemann sums, the sandwich bounds, the blue region, and the limit table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from densemahler.limits import (INTEGRAL, LIMIT, blue_area_formula,
                                 blue_integral, error_E, in_blue, limit_report,
                                 max_vol_on_blue, partition_report, riemann_sum,
                                 triangular_partition)
-from densemahler.volume import vol
+from densemahler.volume import vol, vol_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,7 +43,7 @@ def test_sandwich():
 
 
 def test_square_centers_inside_triangle():
-    # the squares of squares_integral are centered on the pair grid
+    # the squares of blue_integral are centered on the pair grid
     for n in (5, 12):
         centers = np.column_stack(mahler_closed._pair_grid(n))
         assert centers.shape[0] == (n - 1) * (n - 2) // 2
@@ -110,7 +111,7 @@ def test_limit_report():
     rows = limit_report([10, 100, 1000])
     assert [r.d for r in rows] == [10, 100, 1000]
     for row in rows:
-        assert row.limit == LIMIT
+        assert row.gap == abs(row.m_value - LIMIT)
         assert row.reconstruction_residual <= 1e-8
     gaps = [r.gap for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -150,3 +151,49 @@ def test_partition_report_computes_the_weight_sum_once(monkeypatch):
     monkeypatch.setattr(limits, "grid_weight_sum", counting)
     assert partition_report(50) == expected
     assert calls == [50]
+
+
+def _unblocked_blue_integral(n):
+    # every square's tensor Gauss-Legendre terms at once, summed exactly
+    theta_c, alpha_c = mahler_closed._pair_grid(n)
+    x, w = np.polynomial.legendre.leggauss(limits._SQUARE_NODES)
+    half = math.pi / n
+    theta = theta_c[:, None, None] + half * x[None, :, None]
+    alpha = alpha_c[:, None, None] + half * x[None, None, :]
+    ww = half * w
+    terms = ww[:, None] * ww * vol_array(theta, alpha)
+    return INTEGRAL - math.fsum(terms.ravel().tolist())
+
+
+def _unblocked_max_vol_on_blue(n):
+    # the whole (4n)^2 grid at once
+    m = 4 * n
+    grid = (np.arange(m) + 0.5) * (TWO_PI / m)
+    th, al = np.meshgrid(grid, grid, indexing="ij")
+    keep = th + al <= TWO_PI
+    th, al = th[keep], al[keep]
+    blue = in_blue(th, al, n)
+    return float(np.max(vol_array(th[blue], al[blue])))
+
+
+def test_blocked_diagnostics_match_one_pass():
+    # a max does not depend on the order, so the row blocks keep its bits;
+    # the block sums of the squares are rounded sums, so blue_integral sits
+    # a few ulps of I from the exact sum of the same terms (3 at n = 10)
+    for n in (10, 40):
+        assert max_vol_on_blue(n) == _unblocked_max_vol_on_blue(n)
+        assert (abs(blue_integral(n) - _unblocked_blue_integral(n))
+                <= 8 * math.ulp(INTEGRAL))
+
+
+def test_blocked_diagnostics_memory():
+    # holding every point at once would take 72 MiB for blue_integral(150)
+    # and 34 MiB for max_vol_on_blue(300), growing like n^2
+    for f, n, limit in ((blue_integral, 150, 16), (max_vol_on_blue, 300, 8)):
+        tracemalloc.start()
+        try:
+            f(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20, (f.__name__, peak)

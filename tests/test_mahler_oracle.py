@@ -225,6 +225,28 @@ def test_slice_coefficients_built_block_by_block(monkeypatch):
     assert abs(res.value - m_closed_aggregated(spec).value) <= 1e-9
 
 
+def test_oracle_refuses_d_above_its_limit(monkeypatch):
+    # the oracle's time grows like d^3; above MAX_ORACLE_D both entry points
+    # raise before they solve or allocate anything
+    def never(*args, **kwargs):
+        raise AssertionError("solved a slice")
+
+    monkeypatch.setattr(mahler_oracle, "aberth_roots_batch", never)
+    limit = mahler_oracle.MAX_ORACLE_D
+    spec = PdSpec(limit + 1)
+    message = f"oracle d = {limit + 1} exceeds MAX_ORACLE_D = {limit}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            m_oracle(spec)
+        with pytest.raises(ValueError, match=message):
+            primitive_check(spec, CurveArc(0.9, 0.2, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(1)
@@ -333,10 +355,11 @@ def test_arc_validation():
         CurveArc(radius=0.9, t_start=1.0, t_end=1.0)
 
 
-def test_vol_integral_quadrature():
+def test_vol_integral_quadrature(monkeypatch):
     target = INTEGRAL
-    q64 = vol_integral_quadrature(nodes=64)
-    q16 = vol_integral_quadrature(nodes=16)
+    q64 = vol_integral_quadrature()
+    monkeypatch.setattr(mahler_oracle, "_VOL_NODES", 16)
+    q16 = vol_integral_quadrature()
     assert abs(q64 - target) <= 1e-6
     assert abs(q16 - target) <= 1e-4
     assert abs(q64 - q16) > 1e-9  # the coarse rule is genuinely coarser

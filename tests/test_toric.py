@@ -152,11 +152,12 @@ def test_quadratic_routes_refuse_large_d():
 
 def test_check_regularity():
     for d, count in ((1, 2), (2, 8), (10, 200)):
-        report = check_regularity(PdSpec(d))
-        assert report.point_count == count
-        assert report.min_abs_im_gamma > 1e-8
+        table = check_regularity(PdSpec(d))
+        assert [a.size for a in table] == [count] * 5
+        assert np.min(np.abs(table[4])) > 1e-8
     # the d = 2 minimum is 1/2, attained on the modulus-4 family
-    assert abs(check_regularity(PdSpec(2)).min_abs_im_gamma - 0.5) <= 1e-12
+    im = check_regularity(PdSpec(2))[4]
+    assert abs(np.min(np.abs(im)) - 0.5) <= 1e-12
 
 
 def test_regularity_threshold_violation(monkeypatch):
@@ -164,3 +165,18 @@ def test_regularity_threshold_violation(monkeypatch):
     monkeypatch.setattr(toric, "REGULARITY_MIN_IM", 10.0)
     with pytest.raises(RegularityError, match=r"at \(n, k, k'\) = \(3, 1, 2\)"):
         check_regularity(PdSpec(2))
+
+
+def test_check_regularity_returns_the_checked_table():
+    # report toric prints this table, so it must be the one built from the
+    # index arrays, the sign table and gamma, bit for bit
+    for d in (1, 2, 10, 57):
+        spec = PdSpec(d)
+        n, k, kp = toric_indices(spec)
+        want = (n, k, kp, diagonal_sign(d, n, k, kp),
+                toric.toric_gamma(spec, n, k, kp).imag)
+        got = check_regularity(spec)
+        assert len(got) == 5
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
