@@ -10,9 +10,8 @@ report        one subcommand per report, each with only its own flags:
 
 All numeric output is locale-independent with 15 significant digits and
 "\n" line endings, so identical invocations produce byte-identical files.
-Sweeps parallelize across d (MAHLER_THREADS sets the worker count, at most
-32); rows are buffered and written in ascending d regardless of completion
-order.
+A sweep computes its closed column as one task of a thread pool and each
+oracle row as another; rows are written in ascending d once all are done.
 
 Exit codes: 0 success, 2 usage error (also a d or --grid-n beyond the limit
 of a route whose memory grows like its square, or an oracle d beyond
@@ -53,13 +52,11 @@ def _emit(path: str | None, header: str, rows) -> None:
 
 
 def _worker_count() -> int:
-    env = os.environ.get("MAHLER_THREADS")
-    if env is None:
-        return min(32, os.cpu_count() or 1)
-    try:
-        return min(32, _int_at_least(1)(env))
-    except argparse.ArgumentTypeError:
-        raise ValueError("MAHLER_THREADS must be a positive integer") from None
+    # the CPUs this process may run on, at most 32: an oracle row at
+    # d <= MAX_ORACLE_D peaks at about 50 MB
+    if hasattr(os, "sched_getaffinity"):
+        return min(32, len(os.sched_getaffinity(0)))
+    return min(32, os.cpu_count() or 1)
 
 
 def _int_at_least(low: int):
@@ -105,20 +102,22 @@ def cmd_measure(args) -> int:
 def cmd_sweep(args) -> int:
     if args.d_from > args.d_to:
         raise ValueError("need --from <= --to")
-    top = min(args.d_to, args.oracle_up_to)  # the largest d of an oracle row
-    if top >= args.d_from:
-        _require_oracle_d(top)
+    ds = range(args.d_from, args.d_to + 1)
+    oracle_ds = ds[:max(0, args.oracle_up_to - args.d_from + 1)]
+    if oracle_ds:
+        _require_oracle_d(oracle_ds[-1])
 
-    def row(d: int) -> list:
-        spec = PdSpec(d)
-        m_c = m_closed(spec, METHOD_AGGREGATED).value
-        if d > args.oracle_up_to:
-            return [str(d), _fmt(m_c), "", ""]
-        m_o = m_oracle(spec).value
-        return [str(d), _fmt(m_c), _fmt(m_o), _fmt(abs(m_c - m_o))]
+    def closed_column() -> list:
+        return [m_closed(PdSpec(d), METHOD_AGGREGATED).value for d in ds]
 
+    # one task for the closed column: split, its tiny calls fight for the GIL
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(row, range(args.d_from, args.d_to + 1)))
+        closed = pool.submit(closed_column)
+        m_o = list(pool.map(lambda d: m_oracle(PdSpec(d)).value, oracle_ds))
+        m_c = closed.result()
+    rows = [[str(d), _fmt(c), "", ""] for d, c in zip(ds, m_c)]
+    for row, c, o in zip(rows, m_c, m_o):
+        row[2:] = _fmt(o), _fmt(abs(c - o))
     _emit(args.out, "d,m_closed,m_oracle,abs_diff", rows)
     return 0
 

@@ -34,6 +34,7 @@ import numpy as np
 from .mahler_closed import _aggregated_estimate, grid_weight_sum
 from .polynomials import PdSpec
 from .specfun import TWO_PI, ZETA3
+from .toric import _require_quadratic_d
 from .volume import in_triangle, vol_array
 
 _SQUARE_NODES = 16  # Gauss-Legendre nodes per side of each square
@@ -95,8 +96,10 @@ def blue_integral(n: int) -> float:
 
     Tensor Gauss-Legendre over the squares centered on the pair grid
     (2k pi/n, 2j pi/n), k, j >= 1, k + j <= n - 1, one row k and a block of
-    j at a time; math.fsum adds the block sums.
+    j at a time; math.fsum adds the block sums.  n > MAX_QUADRATIC_D raises
+    a ValueError, since the time grows like n^2 (16 s at n = 1000).
     """
+    _require_quadratic_d(n, "n")
     x, w = np.polynomial.legendre.leggauss(_SQUARE_NODES)
     half = math.pi / n
     offs = half * x
@@ -118,8 +121,9 @@ def max_vol_on_blue(n: int) -> float:
 
     Samples quarter-cell midpoints of T classified as blue; an estimate only,
     used in the one-sided bound E(n) <= max * area.  The grid is scanned a
-    block of rows at a time.
+    block of rows at a time.  n > MAX_QUADRATIC_D raises a ValueError.
     """
+    _require_quadratic_d(n, "n")
     pitch = TWO_PI / (4 * n)
     m = 4 * n
     grid = (np.arange(m) + 0.5) * pitch
@@ -161,8 +165,10 @@ def triangular_partition(n: int) -> tuple:
     Returns (lower, upper): lower triangles [(i,j), (i,j+1), (i+1,j)] for
     i + j <= n - 1 and upper triangles [(i-1,j), (i,j), (i,j-1)] for i, j >= 1
     with i + j <= n.  Together they tile T; every interior lattice point is a
-    vertex of exactly six of them.
+    vertex of exactly six of them.  n > MAX_QUADRATIC_D raises a ValueError,
+    since the 2 n^2 tuples take about 230 MiB at n = 1000.
     """
+    _require_quadratic_d(n, "n")
     lower = [((i, j), (i, j + 1), (i + 1, j))
              for i in range(n) for j in range(n - i)]
     upper = [((i - 1, j), (i, j), (i, j - 1))

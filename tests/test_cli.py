@@ -1,8 +1,10 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
 import argparse
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -39,8 +41,7 @@ def test_measure_usage_errors(capsys):
     assert "unrecognized arguments: --nodes 2" in capsys.readouterr().err
 
 
-def test_sweep_with_oracle(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MAHLER_THREADS", "2")
+def test_sweep_with_oracle(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", "--from", "1", "--to", "10",
                     "--oracle-up-to", "10", "--out", str(out)]) == 0
@@ -340,17 +341,70 @@ def test_riemann_report_computes_each_weight_sum_once(monkeypatch, capsys):
     assert calls == [50, 100]
 
 
-def test_bad_thread_env(monkeypatch, capsys):
+def test_sweep_closed_column_is_one_task(monkeypatch):
+    # every closed row runs in d order on one pool thread, not the caller's
     import densemahler.cli as cli
 
-    for bad in ("0", "abc"):
-        monkeypatch.setenv("MAHLER_THREADS", bad)
-        assert run_cli(["sweep", "--from", "1", "--to", "2"]) == 2
-        assert capsys.readouterr().err == (
-            "error: MAHLER_THREADS must be a positive integer\n")
-    # a huge value gets the default's ceiling; no pool is started here
-    monkeypatch.setenv("MAHLER_THREADS", "1000000")
+    calls = []
+    original = cli.m_closed
+
+    def recording(spec, method):
+        calls.append((spec.d, threading.get_ident()))
+        return original(spec, method)
+
+    monkeypatch.setattr(cli, "m_closed", recording)
+    assert run_cli(["sweep", "--from", "1", "--to", "300",
+                    "--oracle-up-to", "4", "--out", os.devnull]) == 0
+    assert [d for d, _ in calls] == list(range(1, 301))
+    threads = {t for _, t in calls}
+    assert len(threads) == 1 and threading.get_ident() not in threads
+
+
+def test_sweep_rows_equal_direct_calls(tmp_path):
+    from densemahler import PdSpec, m_closed, m_oracle
+    from densemahler.mahler_closed import METHOD_AGGREGATED
+
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", "--from", "3", "--to", "40",
+                    "--oracle-up-to", "9", "--out", str(out)]) == 0
+    expected = ["d,m_closed,m_oracle,abs_diff"]
+    for d in range(3, 41):
+        c = m_closed(PdSpec(d), METHOD_AGGREGATED).value
+        cells = [str(d), format(c, ".15g"), "", ""]
+        if d <= 9:
+            o = m_oracle(PdSpec(d)).value
+            cells[2:] = format(o, ".15g"), format(abs(c - o), ".15g")
+        expected.append(",".join(cells))
+    assert out.read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("target", ["m_oracle", "m_closed"])
+def test_sweep_numeric_failure_writes_no_file(target, tmp_path, monkeypatch,
+                                              capsys):
+    # a failure in an oracle row or in the closed column exits 4, no file
+    import densemahler.cli as cli
+
+    def boom(*args):
+        raise ArithmeticError(f"injected in {target}")
+
+    monkeypatch.setattr(cli, target, boom)
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", "--from", "1", "--to", "20",
+                    "--oracle-up-to", "3", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"numeric failure: injected in {target}\n"
+    assert not out.exists()
+
+
+def test_worker_count(monkeypatch):
+    # the CPUs this process may run on, at most 32; no pool is started here
+    import densemahler.cli as cli
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)),
+                        raising=False)
     assert cli._worker_count() == 32
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._worker_count() == 3
 
 
 def _readme_command_lines():

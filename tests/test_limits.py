@@ -197,3 +197,24 @@ def test_blocked_diagnostics_memory():
         finally:
             tracemalloc.stop()
         assert peak < limit * 2**20, (f.__name__, peak)
+
+
+def test_quadratic_diagnostics_refuse_large_n(monkeypatch):
+    # their time or memory grows like n^2, so above MAX_QUADRATIC_D they
+    # raise before any work
+    from densemahler.toric import MAX_QUADRATIC_D
+
+    def never(*args):
+        raise AssertionError("evaluated vol")
+
+    monkeypatch.setattr(limits, "vol_array", never)
+    n = MAX_QUADRATIC_D + 1
+    for f in (blue_integral, max_vol_on_blue, triangular_partition):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n = {n} exceeds"):
+                f(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (f.__name__, peak)
