@@ -244,10 +244,14 @@ class CurveArc:
     def __post_init__(self):
         if not (0.8 < self.radius < 1.25) or self.radius == 1.0:
             raise ValueError("radius must lie in (0.8, 1.25) and differ from 1")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError("arc ends must be finite")
         if self.t_end == self.t_start:
             raise ValueError("arc must have nonzero extent")
-        if self.steps < 8:
-            raise ValueError("need at least 8 steps")
+        if (not isinstance(self.steps, int) or isinstance(self.steps, bool)
+                or self.steps < 8):
+            raise ValueError(
+                f"steps must be an integer >= 8, got {self.steps!r}")
 
 
 def _match_branch(prev: complex, fibre: np.ndarray) -> complex:

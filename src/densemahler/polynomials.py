@@ -160,20 +160,26 @@ def aberth_roots_batch(coeffs: np.ndarray,
                        initial: np.ndarray | None = None) -> np.ndarray:
     """All roots of a batch of same-degree polynomials, Aberth-Ehrlich.
 
-    coeffs has shape (B, D+1) in ascending powers with nonzero leading
-    column.  Initial guesses sit on the Fujiwara root-bound circle with a
-    fixed angular offset, or come from `initial` (shape (D,) or (B, D), e.g.
-    the solved roots of a nearby polynomial); the iteration is simultaneous,
-    deterministic, and stops when every correction falls below
+    coeffs has shape (B, D+1) in ascending powers, all finite, with nonzero
+    leading column.  Initial guesses sit on the Fujiwara root-bound circle
+    with a fixed angular offset, or come from `initial` (shape (D,) or
+    (B, D), e.g. the solved roots of a nearby polynomial); the iteration is
+    simultaneous, deterministic, and stops when every correction falls below
     ABERTH_NEWTON_TOL.
 
-    Raises RootFindingError after ABERTH_MAX_ITER sweeps (read at call time).
+    Raises ValueError on non-finite coeffs or initial, and RootFindingError
+    after ABERTH_MAX_ITER sweeps (read at call time).
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     n_poly, deg_p1 = coeffs.shape
     deg = deg_p1 - 1
     if deg < 1:
         raise ValueError("degree must be >= 1")
+    # a NaN correction never reaches ABERTH_NEWTON_TOL, so it would count as
+    # converged; refuse non-finite input before any arithmetic
+    if not (np.all(np.isfinite(coeffs))
+            and (initial is None or np.all(np.isfinite(initial)))):
+        raise ValueError("coefficients and initial roots must be finite")
     lead = coeffs[:, -1]
     if np.any(lead == 0):
         raise ValueError("leading coefficients must be nonzero")
@@ -219,8 +225,8 @@ def aberth_roots_batch(coeffs: np.ndarray,
 def roots(coefficients) -> list:
     """All degree-many roots of a polynomial, with multiplicity.
 
-    coefficients are in ascending powers (a slice_coeff_matrix row, say),
-    degree >= 1.
+    coefficients are finite, in ascending powers (a slice_coeff_matrix row,
+    say), degree >= 1; a non-finite one raises ValueError.
     Zero roots (vanishing low-order coefficients) are split off exactly; the
     rest come from the Aberth solver.  Every returned root satisfies
     |p(root)| <= 1e-10 * (1 + max |coefficient|), otherwise a
@@ -229,6 +235,8 @@ def roots(coefficients) -> list:
     c = np.asarray(coefficients, dtype=complex)
     if c.ndim != 1 or c.size < 2:
         raise ValueError("need the coefficients of a polynomial of degree >= 1")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
     n_zero = 0
     while n_zero < c.size - 1 and c[n_zero] == 0:
         n_zero += 1

@@ -7,22 +7,25 @@ The Clausen function
 is the restriction of the Bloch-Wigner dilogarithm D(z) to the unit circle,
 D(e^{i*theta}) = Cl2(theta).  The defining sine series converges like 1/n^2
 and cannot reach 1e-12 by direct summation, so the fast evaluator reduces
-theta to [0, pi] (2*pi periodicity plus oddness) and sums the expansion
+theta mod 2*pi, shifts the angles in (pi, 2*pi] down by 2*pi onto (-pi, 0],
+and sums on [-pi, pi] the odd expansion
 
-    Cl2(t) = t - t*log(t) + t * sum_{n>=1} c_n * (t / 2pi)^(2n),
+    Cl2(t) = t - t*log|t| + t * sum_{n>=1} c_n * (t / 2pi)^(2n),
     c_n = zeta(2n) / (n * (2n + 1)),
 
 obtained by integrating log(2*sin(t/2)) = log(t) - sum zeta(2n) (t/2pi)^(2n)/n
-term by term.  At the slowest point t = pi the series ratio is 1/4, so the
+term by term.  The shift is exact (Sterbenz), so Cl2(t) = -Cl2(2*pi - t) holds
+bit for bit.  At the slowest point |t| = pi the series ratio is 1/4, so the
 fixed 32-term truncation leaves a tail below 1e-18; double rounding dominates
 and every value carries an absolute error bound of 5e-13.  cl2_array is the one
 kernel; the scalar cl2 runs it on one angle and matches it bitwise.  The
 kernel sums the series over blocks of 2^15 angles, so its temporaries stay in
 cache; the values are the same bits as a single pass over the whole array.
-The reduction mod 2*pi touches only the angles outside [0, 2*pi): there fmod
+The reduction mod 2*pi touches only the angles outside (0, 2*pi): inside, fmod
 is exact and np.mod returns its input, so skipping it changes no bit, and the
 grid angles 2*pi*j/n of the closed route never pay for numpy's floating
-divmod, which cost about a third of the kernel's time per angle.
+divmod, which cost about a third of the kernel's time per angle.  Zeros of
+either sign go through np.mod, which makes them +0.0, so Cl2(-0.0) = +0.0.
 
 The full complex-argument D(z) is evaluated through the triangle identity
 
@@ -79,16 +82,16 @@ _CL2_BLOCK = 1 << 15
 
 def _cl2_block(th: np.ndarray) -> np.ndarray:
     # Cl2 on finite angles of any shape; cl2_array feeds it one block at a time.
-    # np.mod returns angles in [0, 2*pi) unchanged, so only the others are
-    # reduced; [()] keeps 0-d input a numpy scalar.  A tiny negative angle
-    # reduces to exactly 2*pi, then folds to 0 below
+    # np.mod returns angles in (0, 2*pi) unchanged, so only the others are
+    # reduced (zeros of either sign to +0.0); [()] keeps 0-d input a numpy
+    # scalar.  The shift to [-pi, pi] is exact (Sterbenz), and a tiny negative
+    # angle, which reduces to exactly 2*pi, shifts to +0.0
     t = np.mod(th, TWO_PI, out=th.copy(),
-               where=(th < 0.0) | (th >= TWO_PI))[()]
-    upper = t > math.pi
-    sign = np.where(upper, -1.0, 1.0)
-    t = np.where(upper, TWO_PI - t, t)
-    # the series on (0, pi], log masked at t = 0; x * x, since x ** 2 on a
-    # numpy scalar goes through pow(), which can round unlike an array square
+               where=(th <= 0.0) | (th >= TWO_PI))[()]
+    t = np.where(t > math.pi, t - TWO_PI, t)
+    # the odd series on [-pi, pi], log masked at t = 0, where it gives +0.0;
+    # x * x, since x ** 2 on a numpy scalar goes through pow(), which can
+    # round unlike an array square
     x = t / TWO_PI
     x = x * x
     # Horner in place: s *= x; s += c rounds exactly as s = s * x + c, and on
@@ -97,13 +100,13 @@ def _cl2_block(th: np.ndarray) -> np.ndarray:
     for c in reversed(_CL2_COEFFS[:-1]):
         s *= x
         s += c
-    positive = t > 0.0
-    out = sign * t * (1.0 - np.log(np.where(positive, t, 1.0)) + x * s)
-    return np.where(positive, out, 0.0)
+    a = np.abs(t)
+    return t * (1.0 - np.log(np.where(a > 0.0, a, 1.0)) + x * s)
 
 
 def cl2_array(theta: np.ndarray) -> np.ndarray:
-    """Cl2 elementwise over an array of angles (any shape, 0-d included).
+    """Cl2 elementwise over an array of angles (any shape; 0-d input gives a
+    numpy scalar).
 
     More than _CL2_BLOCK angles are summed one flat block at a time into a
     preallocated output, so every temporary of the series stays in cache;

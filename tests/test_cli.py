@@ -1,6 +1,7 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
 import argparse
+import importlib
 import os
 import subprocess
 import sys
@@ -423,6 +424,28 @@ def test_readme_command_lines_run(tmp_path, capsys):
             argv[i] = str(tmp_path / argv[i])
         assert run_cli(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_library_map_names_exist():
+    # every backticked identifier in a row of the map is an attribute of
+    # that row's module (a dotted one, of the package's module it names);
+    # tuples and command lines in backticks are skipped
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("## Library map", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    assert len(rows) >= 8
+    for module_cell, contents in rows:
+        module = importlib.import_module(
+            "densemahler." + module_cell.strip().strip("`"))
+        names = {name for name in contents.split("`")[1::2]
+                 if all(part.isidentifier() for part in name.split("."))
+                 and name != "densemahler"}
+        assert names, module_cell
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            target = (importlib.import_module("densemahler." + owner)
+                      if owner else module)
+            assert hasattr(target, attr), (module.__name__, name)
 
 
 def test_entry_point_subprocess():

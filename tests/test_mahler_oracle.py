@@ -353,6 +353,16 @@ def test_arc_validation():
         CurveArc(radius=0.5, t_start=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         CurveArc(radius=0.9, t_start=1.0, t_end=1.0)
+    # non-finite ends would track a branch of NaNs
+    for ends in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                 (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            CurveArc(0.9, *ends)
+    # steps follows the integer rule of PdSpec
+    for steps in (8.5, 8.0, True, 7, "10"):
+        with pytest.raises(ValueError, match="steps"):
+            CurveArc(0.9, 0.0, 1.0, steps)
+    assert CurveArc(0.9, 0.0, 1.0, 8).steps == 8
 
 
 def test_vol_integral_quadrature(monkeypatch):

@@ -203,3 +203,18 @@ def test_aberth_rejects_degenerate(monkeypatch):
     monkeypatch.setattr(polynomials, "ABERTH_MAX_ITER", 1)
     with pytest.raises(RootFindingError, match="within 1 sweeps"):
         aberth_roots_batch(np.array([[1.0, 1.0, 1.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan)])
+def test_root_finders_refuse_non_finite_input(bad):
+    # a NaN correction compares False against the tolerance, so without the
+    # check the solver would return NaN roots as converged
+    for coeffs in ([bad, 1.0], [1.0, bad, 1.0], [0.0, bad], [1.0, 2.0, bad]):
+        with pytest.raises(ValueError, match="must be finite"):
+            roots(coeffs)
+        with pytest.raises(ValueError, match="must be finite"):
+            aberth_roots_batch(np.array([coeffs], dtype=complex))
+    with pytest.raises(ValueError, match="must be finite"):
+        aberth_roots_batch(np.array([[1.0, 1.0, 1.0]], dtype=complex),
+                           initial=np.array([bad, 1.0]))

@@ -121,7 +121,7 @@ def test_angle_reduction():
 
 
 def test_reduction_touches_only_out_of_range_angles(monkeypatch, rng):
-    # only angles outside [0, 2*pi) go through np.mod, which returns the
+    # only angles outside (0, 2*pi) go through np.mod, which returns the
     # others unchanged, so the values are the bits of reducing every angle;
     # blocks of 7 mix in-range and out-of-range angles
     edges = np.array([-0.0, 5e-324, -5e-324, -1e-300, -1e-13,
@@ -139,6 +139,25 @@ def test_reduction_touches_only_out_of_range_angles(monkeypatch, rng):
     # -0.0 and -1e-300 (which reduces to 2*pi) give +0.0, not -0.0
     for t in (-0.0, -1e-300):
         assert cl2(t) == 0.0 and math.copysign(1.0, cl2(t)) == 1.0
+
+
+def test_kernel_is_exactly_odd(monkeypatch, rng):
+    # for t in (pi, 2*pi), u = 2*pi - t is exact and the kernel evaluates t
+    # as -u, so Cl2(t) = -Cl2(u) holds bit for bit, on the grid angles of the
+    # closed route, on random angles, on 0-d input and through blocks of 7
+    grid = np.concatenate([TWO_PI * np.arange(n) / n
+                           for n in (3, 4, 5, 7, 100, 1001, 4099)])
+    for t in (grid, rng.uniform(0.0, TWO_PI, 20_000)):
+        t = t[(t > math.pi) & (t < TWO_PI)]
+        u = TWO_PI - t
+        assert np.array_equal(TWO_PI - u, t)
+        want = (-cl2_array(u)).view(np.uint64)
+        assert np.array_equal(cl2_array(t).view(np.uint64), want)
+        assert all(cl2_array(a).view(np.uint64) == b
+                   for a, b in zip(t[:200], want))
+        monkeypatch.setattr(specfun, "_CL2_BLOCK", 7)
+        assert np.array_equal(cl2_array(t).view(np.uint64), want)
+        monkeypatch.undo()
 
 
 def test_array_matches_scalar(rng):
