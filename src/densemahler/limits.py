@@ -33,13 +33,11 @@ import numpy as np
 
 from .mahler_closed import _aggregated_estimate, grid_weight_sum
 from .polynomials import PdSpec
-from .specfun import TWO_PI, ZETA3
+from .specfun import TWO_PI, ZETA3, cl2_array
 from .toric import _require_quadratic_d
 from .volume import in_triangle, vol_array
 
 _SQUARE_NODES = 16  # Gauss-Legendre nodes per side of each square
-# points per vol_array call in blue_integral and max_vol_on_blue, at any n
-_BLOCK_POINTS = 1 << 16
 
 # The exact integral of vol over T, and the limit of the family's Mahler
 # measure.
@@ -86,57 +84,59 @@ def in_blue(theta: np.ndarray, alpha: np.ndarray, n: int) -> np.ndarray:
     return inside_t & ~covered
 
 
+def _require_order(n: int) -> None:
+    # the rule of PdSpec, before any work
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+
+
 def blue_area_formula(n: int) -> float:
     """Area of the blue remainder: 2 pi^2 (3n - 2) / n^2."""
+    _require_order(n)
     return 2.0 * math.pi ** 2 * (3.0 * n - 2.0) / n ** 2
 
 
 def blue_integral(n: int) -> float:
     """eps(n) = integral of vol over the blue remainder (I minus squares).
 
-    Tensor Gauss-Legendre over the squares centered on the pair grid
-    (2k pi/n, 2j pi/n), k, j >= 1, k + j <= n - 1, one row k and a block of
-    j at a time; math.fsum adds the block sums.  n > MAX_QUADRATIC_D raises
-    a ValueError, since the time grows like n^2 (16 s at n = 1000).
+    Tensor Gauss-Legendre over the squares centered on the pair grid, its
+    Clausen terms regrouped as in W(n): center k of theta (or of alpha) lies
+    in n - 1 - k squares and diagonal q = k + j in q - 1, so O(n) angles.
+    n > MAX_QUADRATIC_D raises a ValueError.
     """
+    _require_order(n)
     _require_quadratic_d(n, "n")
     x, w = np.polynomial.legendre.leggauss(_SQUARE_NODES)
-    half = math.pi / n
-    offs = half * x
-    ww = half * w
-    block = _BLOCK_POINTS // _SQUARE_NODES ** 2
-
-    def block_sum(k, lo):
-        theta = TWO_PI * k / n + offs[:, None]
-        j = np.arange(lo, min(lo + block, n - k))
-        alpha = (TWO_PI * j)[:, None, None] / n + offs
-        return float(np.einsum("i,j,sij->", ww, ww, vol_array(theta, alpha)))
-
-    return INTEGRAL - math.fsum(block_sum(k, lo) for k in range(1, n - 1)
-                                for lo in range(1, n - k, block))
+    h = math.pi / n
+    ww = h * w
+    k = np.arange(1, n - 1)
+    # E_k for k = 1..n-2, and D_q for q = k + 1 = 2..n-1
+    e = cl2_array(TWO_PI * k[:, None] / n + h * x) @ ww
+    d = cl2_array(TWO_PI * (k + 1)[:, None, None] / n
+                  + h * (x[:, None] + x)) @ ww @ ww
+    return INTEGRAL - (2.0 * math.fsum(ww) * math.fsum((n - 1 - k) * e)
+                       - math.fsum(k * d))
 
 
 def max_vol_on_blue(n: int) -> float:
     """Estimated maximum of vol over the blue remainder.
 
-    Samples quarter-cell midpoints of T classified as blue; an estimate only,
-    used in the one-sided bound E(n) <= max * area.  The grid is scanned a
-    block of rows at a time.  n > MAX_QUADRATIC_D raises a ValueError.
+    The max over the blue quarter-cell midpoints (i, j) of T, which have
+    i < 2, j < 2 or i + j >= 4n - 4; an estimate only, used in the one-sided
+    bound E(n) <= max * area.  n > MAX_QUADRATIC_D raises a ValueError.
     """
+    _require_order(n)
     _require_quadratic_d(n, "n")
-    pitch = TWO_PI / (4 * n)
     m = 4 * n
-    grid = (np.arange(m) + 0.5) * pitch
-    rows = max(1, _BLOCK_POINTS // m)
-    maxima = []
-    for lo in range(0, m, rows):
-        th, al = np.meshgrid(grid[lo:lo + rows], grid, indexing="ij")
-        keep = th + al <= TWO_PI
-        th, al = th[keep], al[keep]
-        blue = in_blue(th, al, n)
-        if np.any(blue):
-            maxima.append(float(np.max(vol_array(th[blue], al[blue]))))
-    return max(maxima, default=0.0)
+    t = np.arange(m)
+    diag = [t[:s + 1] for s in range(m - 4, m)]  # j on the last diagonals
+    i = np.concatenate([t, t, 0 * t, 0 * t + 1] + [d[::-1] for d in diag])
+    j = np.concatenate([0 * t, 0 * t + 1, t, t] + diag)
+    th, al = (i + 0.5) * (TWO_PI / m), (j + 0.5) * (TWO_PI / m)
+    keep = th + al <= TWO_PI
+    th, al = th[keep], al[keep]
+    blue = in_blue(th, al, n)
+    return float(np.max(vol_array(th[blue], al[blue]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,7 @@ def triangular_partition(n: int) -> tuple:
     vertex of exactly six of them.  n > MAX_QUADRATIC_D raises a ValueError,
     since the 2 n^2 tuples take about 230 MiB at n = 1000.
     """
+    _require_order(n)
     _require_quadratic_d(n, "n")
     lower = [((i, j), (i, j + 1), (i + 1, j))
              for i in range(n) for j in range(n - i)]

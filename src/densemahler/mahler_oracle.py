@@ -58,6 +58,7 @@ _BATCH_LIMIT = 1536  # Aberth rows solved at once for d <= 30; fewer above
 _SEED_STRIDE = 12  # angles per warm-start seed: near enough for few sweeps
 _GRADING_DEPTH = 8  # vol_integral_quadrature's refinement levels per edge
 _VOL_NODES = 64  # vol_integral_quadrature's Gauss nodes per graded panel
+_PANEL_NODES = 64  # m_oracle's default Gauss nodes per panel
 # Largest d of m_oracle and eta_path_integral, whose time grows like d^3:
 # 10 s at d = 120 (the README's timing table), hours at d = 1000.
 MAX_ORACLE_D = 120
@@ -76,7 +77,7 @@ class ContinuationError(ArithmeticError):
 class QuadratureConfig:
     """Gauss node count per panel; m_oracle places the panels at the kinks."""
 
-    nodes_per_panel: int = 64
+    nodes_per_panel: int = _PANEL_NODES
 
     def __post_init__(self):
         # the error estimate fits a decay rate between the Legendre
@@ -86,7 +87,8 @@ class QuadratureConfig:
             raise ValueError("need at least 3 nodes per panel")
 
 
-def default_config(spec: PdSpec, nodes_per_panel: int = 64) -> QuadratureConfig:
+def default_config(spec: PdSpec,
+                   nodes_per_panel: int = _PANEL_NODES) -> QuadratureConfig:
     """The oracle's configuration; spec is not used, the panels depend on d."""
     return QuadratureConfig(nodes_per_panel)
 

@@ -226,7 +226,8 @@ def roots(coefficients) -> list:
     """All degree-many roots of a polynomial, with multiplicity.
 
     coefficients are finite, in ascending powers (a slice_coeff_matrix row,
-    say), degree >= 1; a non-finite one raises ValueError.
+    say), degree >= 1; a non-finite one or a zero leading one raises
+    ValueError.
     Zero roots (vanishing low-order coefficients) are split off exactly; the
     rest come from the Aberth solver.  Every returned root satisfies
     |p(root)| <= 1e-10 * (1 + max |coefficient|), otherwise a
@@ -237,8 +238,10 @@ def roots(coefficients) -> list:
         raise ValueError("need the coefficients of a polynomial of degree >= 1")
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
+    if c[-1] == 0:
+        raise ValueError("leading coefficients must be nonzero")
     n_zero = 0
-    while n_zero < c.size - 1 and c[n_zero] == 0:
+    while c[n_zero] == 0:
         n_zero += 1
     core = c[n_zero:]
     found = [0.0 + 0.0j] * n_zero

@@ -13,7 +13,8 @@ import inspect
 from pathlib import Path
 
 import densemahler
-from densemahler.mahler_oracle import CurveArc, default_config, m_oracle
+from densemahler.mahler_oracle import (CurveArc, QuadratureConfig,
+                                       default_config, m_oracle)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,6 +48,7 @@ def test_introspected_signatures():
     # and the config of an m_oracle call from its argument named cfg
     nodes = inspect.signature(default_config).parameters["nodes_per_panel"]
     assert isinstance(nodes.default, int)
+    assert nodes.default == QuadratureConfig().nodes_per_panel
     assert "cfg" in inspect.signature(m_oracle).parameters
 
 

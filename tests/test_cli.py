@@ -449,9 +449,16 @@ def test_readme_library_map_names_exist():
 
 
 def test_entry_point_subprocess():
+    # the child imports the package from the same source tree as this test
+    import densemahler
+
+    src = str(Path(densemahler.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "densemahler.cli", "measure", "--d", "1"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "0.323065947219" in proc.stdout
 

@@ -177,10 +177,11 @@ def _unblocked_max_vol_on_blue(n):
 
 
 def test_blocked_diagnostics_match_one_pass():
-    # a max does not depend on the order, so the row blocks keep its bits;
-    # the block sums of the squares are rounded sums, so blue_integral sits
-    # a few ulps of I from the exact sum of the same terms (3 at n = 10)
-    for n in (10, 40):
+    # a max does not depend on which points are read, as long as every blue
+    # one is, so max_vol_on_blue keeps its bits; the regrouped sums of the
+    # squares are rounded sums, so blue_integral sits a few ulps of I from
+    # the exact sum of the same terms
+    for n in (1, 2, 3, 4, 5, 10, 17, 40):
         assert max_vol_on_blue(n) == _unblocked_max_vol_on_blue(n)
         assert (abs(blue_integral(n) - _unblocked_blue_integral(n))
                 <= 8 * math.ulp(INTEGRAL))
@@ -197,6 +198,42 @@ def test_blocked_diagnostics_memory():
         finally:
             tracemalloc.stop()
         assert peak < limit * 2**20, (f.__name__, peak)
+
+
+def test_sandwich_diagnostics_cost_is_linear(monkeypatch):
+    # blue_integral reads O(n) Clausen angles and max_vol_on_blue classifies
+    # O(n) midpoints; a scan of all squares or of the (4n)^2 grid would pass
+    # 11 M points and classify 0.7 M at n = 300
+    n = 300
+    counts = {"points": 0, "classified": 0}
+
+    def counting(name, key, f):
+        def wrapped(*args, **kwargs):
+            counts[key] += np.broadcast(*map(np.asarray, args[:2])).size
+            return f(*args, **kwargs)
+        monkeypatch.setattr(limits, name, wrapped, raising=False)
+
+    counting("cl2_array", "points", getattr(limits, "cl2_array", None))
+    counting("vol_array", "points", limits.vol_array)
+    counting("in_blue", "classified", limits.in_blue)
+    blue_integral(n)
+    assert 0 < counts["points"] <= 300 * n
+    max_vol_on_blue(n)
+    assert 0 < counts["classified"] <= 40 * n
+
+
+def test_sandwich_functions_refuse_bad_orders(monkeypatch):
+    # n must be an integer >= 1, as d is for PdSpec, checked before any work
+    def never(*args):
+        raise AssertionError("evaluated vol")
+
+    monkeypatch.setattr(limits, "vol_array", never)
+    monkeypatch.setattr(limits, "cl2_array", never, raising=False)
+    for f in (blue_area_formula, blue_integral, max_vol_on_blue,
+              triangular_partition):
+        for n in (0, -3, 2.5, True):
+            with pytest.raises(ValueError, match=f"n must be .*{n!r}"):
+                f(n)
 
 
 def test_quadratic_diagnostics_refuse_large_n(monkeypatch):

@@ -167,6 +167,11 @@ def test_roots_rejects_constant():
     for coeffs in ([1.0], [], [[1.0, 1.0], [1.0, 1.0]]):
         with pytest.raises(ValueError, match="degree >= 1"):
             roots(coeffs)
+    # a zero leading coefficient, the zero polynomial included, is refused
+    # whether or not the zero-root split would reach the solver
+    for coeffs in ([0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="leading coefficients"):
+            roots(coeffs)
 
 
 def test_root_residuals_and_determinism(rng):
