@@ -6,9 +6,8 @@ quadrature oracle built on Jensen's formula, then reproduces the convergence
 of m(P_d) to 9 zeta(3) / (2 pi^2).
 """
 
-from .limits import (INTEGRAL, LIMIT, LimitRow, PartitionReport, error_E,
-                     limit_report, partition_report, riemann_sum,
-                     triangular_partition)
+from .limits import (INTEGRAL, LIMIT, LimitRow, error_E, limit_report,
+                     riemann_sum)
 from .mahler_closed import (METHOD_AGGREGATED, METHOD_ORACLE,
                             METHOD_POINTWISE, METHOD_VOLSUM, MahlerEstimate,
                             grid_weight_sum, m_closed, m_closed_aggregated,

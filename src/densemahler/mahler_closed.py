@@ -67,17 +67,22 @@ class MahlerEstimate:
     error_bound: float
 
 
+def _require_order(n: int, low: int) -> None:
+    # the rule of PdSpec for a grid order, before any work
+    if not isinstance(n, int) or isinstance(n, bool) or n < low:
+        raise ValueError(f"n must be an integer >= {low}, got {n!r}")
+
+
 def grid_weight_sum(n: int) -> float:
     """W(n) = sum_{j=1}^{n-1} (2n - 3j - 1) Cl2(2 pi j / n), O(n) Clausen calls.
 
-    The angles go to cl2_array _GRID_CHUNK at a time, so memory stays
-    bounded at any n; the chunk sums are added with math.fsum.  Each chunk
-    holds three arrays: the angles, the weights (built in the buffer of j)
-    and the Clausen values.  The in-place steps round exactly as
-    (2n - 3j - 1) and 2 pi j / n do.
+    n must be an integer >= 2.  The angles go to cl2_array _GRID_CHUNK at a
+    time, so memory stays bounded at any n; the chunk sums are added with
+    math.fsum.  Each chunk holds three arrays: the angles, the weights
+    (built in the buffer of j) and the Clausen values.  The in-place steps
+    round exactly as (2n - 3j - 1) and 2 pi j / n do.
     """
-    if n < 2:
-        raise ValueError(f"grid order must be >= 2, got {n}")
+    _require_order(n, 2)
 
     def chunk_sum(lo):
         j = np.arange(lo, min(lo + _GRID_CHUNK, n), dtype=float)

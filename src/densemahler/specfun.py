@@ -27,6 +27,18 @@ grid angles 2*pi*j/n of the closed route never pay for numpy's floating
 divmod, which cost about a third of the kernel's time per angle.  Zeros of
 either sign go through np.mod, which makes them +0.0, so Cl2(-0.0) = +0.0.
 
+Integrated once and twice term by term, the same series gives
+Sl3(t) = sum cos(n*t)/n^3 and Cl4(t) = sum sin(n*t)/n^4 (Sl3' = -Cl2,
+Cl4' = Sl3) as differences from their values at 0: with x = (t / 2pi)^2,
+
+    Sl3(t) - zeta(3)   = t^2 (-3/4 + log(t)/2 - sum c_n x^n / (2n + 2)),
+    Cl4(t) - zeta(3) t = t^3 (-11/36 + log(t)/6
+                              - sum c_n x^n / ((2n + 2)(2n + 3))),
+
+for 0 < t < 2*pi.  _cl2_integrals returns both at one scalar t; the
+blue-region integral of limits is built from them, so it never subtracts
+zeta(3) from a value near zeta(3).
+
 The full complex-argument D(z) is evaluated through the triangle identity
 
     D(z) = (1/2) * [Cl2(2a) + Cl2(2b) + Cl2(2c)],
@@ -122,6 +134,20 @@ def cl2_array(theta: np.ndarray) -> np.ndarray:
     for lo in range(0, flat.size, _CL2_BLOCK):
         out[lo:lo + _CL2_BLOCK] = _cl2_block(flat[lo:lo + _CL2_BLOCK])
     return out.reshape(th.shape)
+
+
+def _cl2_integrals(t: float) -> tuple:
+    # (Sl3(t) - zeta(3), Cl4(t) - zeta(3) t) for 0 < t < 2 pi, from the Cl2
+    # series integrated once (Sl3' = -Cl2) and twice (Cl4' = Sl3), Horner in x
+    x = (t / TWO_PI) ** 2
+    s3 = s4 = 0.0
+    for k in range(_N_TERMS, 0, -1):
+        c = _CL2_COEFFS[k - 1] / (2 * k + 2)
+        s3 = s3 * x + c
+        s4 = s4 * x + c / (2 * k + 3)
+    log_t = math.log(t)
+    return (t * t * (-0.75 + log_t / 2.0 - x * s3),
+            t ** 3 * (-11.0 / 36.0 + log_t / 6.0 - x * s4))
 
 
 def cl2(theta: float) -> float:

@@ -8,7 +8,9 @@ closed form on both families of torus zeros, evaluated at 30 digits, and
 P_d vanishes at the torus zeros of the largest d at 40 digits.  The three
 closed routes must each lie within their printed error bound of m(P_d)
 summed from clsin at 30 digits, up to d = 1000, and bloch_wigner must match
-Im Li2(z) + arg(1 - z) log|z| from mpmath's polylog.
+Im Li2(z) + arg(1 - z) log|z| from mpmath's polylog.  The blue-region
+integral eps(n) is compared at 40 digits with its closed form in clcos(3, .)
+and clsin(4, .), from n = 1 to n = 1e12.
 """
 
 import math
@@ -16,6 +18,7 @@ import math
 import mpmath
 import numpy as np
 
+from densemahler.limits import blue_integral
 from densemahler.mahler_closed import (m_closed_aggregated,
                                        m_closed_pointwise, m_closed_volsum)
 from densemahler.polynomials import PdSpec
@@ -108,6 +111,28 @@ def test_closed_routes_within_their_bounds():
                 print(f"d = {d:4d} {route.__name__:19s} error {err:.2e}, "
                       f"bound/error {est.error_bound / max(err, 1e-300):.1e}")
                 assert err <= est.error_bound, (d, route.__name__)
+
+
+def _blue_integral_mp(n: int):
+    # eps(n) = I - 4 pi Sl3(pi/n) - 3 pi zeta(3)/n^3 - n Cl4(2 pi/n)
+    z3 = mpmath.zeta(3)
+    return (6 * mpmath.pi * z3 - 4 * mpmath.pi * mpmath.clcos(3, mpmath.pi / n)
+            - 3 * mpmath.pi * z3 / mpmath.mpf(n) ** 3
+            - n * mpmath.clsin(4, 2 * mpmath.pi / n))
+
+
+def test_blue_integral_against_mpmath():
+    # O(1) at any n: at n = 1e12 any work per square or grid angle would
+    # not finish
+    ns = [*range(1, 61), 100, 300, 1000, 10**4, 10**6, 10**9, 10**12]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for n in ns:
+            want = _blue_integral_mp(n)
+            rel = float(abs((mpmath.mpf(blue_integral(n)) - want) / want))
+            worst = max(worst, rel)
+            assert rel <= 1e-15, n
+    print(f"largest relative |blue_integral - eps| = {worst:.2e}")
 
 
 def test_bloch_wigner_against_polylog(rng):
