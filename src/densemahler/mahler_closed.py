@@ -42,7 +42,9 @@ from .specfun import CL2_ERROR_BOUND, TWO_PI, cl2_array
 from .toric import _require_quadratic_d, diagonal_sign, toric_indices
 from .volume import vol_array, volume_v_array
 
-_GRID_CHUNK = 1 << 20  # angles per cl2_array call in grid_weight_sum
+# angles per cl2_array call in grid_weight_sum; 2^15 chunks were faster in
+# process but slower end to end (ROADMAP item 2), so it stays 2^20
+_GRID_CHUNK = 1 << 20
 
 METHOD_POINTWISE = "closed_pointwise"
 METHOD_VOLSUM = "closed_volsum"
@@ -80,7 +82,9 @@ def grid_weight_sum(n: int) -> float:
     time, so memory stays bounded at any n; the chunk sums are added with
     math.fsum.  Each chunk holds three arrays: the angles, the weights
     (built in the buffer of j) and the Clausen values.  The in-place steps
-    round exactly as (2n - 3j - 1) and 2 pi j / n do.
+    round exactly as (2n - 3j - 1) and 2 pi j / n do.  The weighting is a
+    single-threaded numpy pairwise sum of weight * Cl2, never a BLAS dot,
+    so its bits do not depend on the machine's thread count.
     """
     _require_order(n, 2)
 
@@ -91,7 +95,9 @@ def grid_weight_sum(n: int) -> float:
         j *= 3.0
         np.subtract(2.0 * n, j, out=j)
         j -= 1.0
-        return float(j @ cl2_array(theta))
+        cl = cl2_array(theta)
+        cl *= j
+        return float(cl.sum())
 
     return math.fsum(map(chunk_sum, range(1, n, _GRID_CHUNK)))
 
@@ -116,7 +122,11 @@ def m_closed_pointwise(spec: PdSpec) -> MahlerEstimate:
     d = spec.d
     n, k, kp = toric_indices(spec)
     eps = diagonal_sign(d, n, k, kp).astype(float)
-    total = float(eps @ volume_v_array(spec, TWO_PI * k / n, TWO_PI * kp / n))
+    # a pairwise sum on one core, not a BLAS dot: the bits do not depend
+    # on the thread count
+    v = volume_v_array(spec, TWO_PI * k / n, TWO_PI * kp / n)
+    v *= eps
+    total = float(v.sum())
     # each V: 3 Clausen values over (d+1)(d+2) plus 3 over d+2 = 3/(d+1)
     bound = 3.0 * n.size * CL2_ERROR_BOUND / ((d + 1.0) * TWO_PI)
     return MahlerEstimate(total / TWO_PI, bound)

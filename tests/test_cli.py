@@ -448,19 +448,44 @@ def test_readme_library_map_names_exist():
             assert hasattr(target, attr), (module.__name__, name)
 
 
-def test_entry_point_subprocess():
+def _child_env(**extra) -> dict:
     # the child imports the package from the same source tree as this test
     import densemahler
 
     src = str(Path(densemahler.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "densemahler.cli", "measure", "--d", "1"],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0
     assert "0.323065947219" in proc.stdout
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a BLAS dot splits its sum by thread count; the closed routes' sums
+    # must not, or the digits after the cancellation at large d move
+    def outputs(threads):
+        env = _child_env(OPENBLAS_NUM_THREADS=threads)
+        csv = tmp_path / f"limit-{threads}.csv"
+        stdout = []
+        for argv in (["measure", "--d", "1000000"],
+                     ["measure", "--d", "300", "--method", "pointwise"],
+                     ["report", "limit", "--d", "100000,1000000",
+                      "--out", str(csv)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "densemahler.cli", *argv],
+                capture_output=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            stdout.append(proc.stdout)
+        return stdout, csv.read_bytes()
+
+    assert outputs("1") == outputs("2")
 
 
 def test_fifteen_significant_digits(capsys):

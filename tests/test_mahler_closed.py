@@ -137,15 +137,15 @@ def test_weight_mass_closed_form():
 
 def test_grid_weight_sum_bits_and_memory():
     # the grid is built in place, rounded step by step as the plain
-    # expressions are: W(n) is bitwise the fsum of the chunk dot products
-    # written out, for n on both sides of _GRID_CHUNK
+    # expressions are: W(n) is bitwise the fsum of the chunk sums of
+    # weights * Cl2 written out, for n on both sides of _GRID_CHUNK
     chunk = mahler_closed._GRID_CHUNK
     for n in (2, 3, 1001, 1 << 20, (1 << 20) + 1, (1 << 20) + 2):
         parts = []
         for lo in range(1, n, chunk):
             j = np.arange(lo, min(lo + chunk, n), dtype=float)
-            parts.append(float((2.0 * n - 3.0 * j - 1.0)
-                               @ cl2_array(TWO_PI * j / n)))
+            parts.append(float(np.sum((2.0 * n - 3.0 * j - 1.0)
+                                      * cl2_array(TWO_PI * j / n))))
         assert grid_weight_sum(n).hex() == math.fsum(parts).hex()
     # a full chunk holds its angles, its weights and the Clausen values
     # (8 MiB each) plus the kernel's block temporaries
