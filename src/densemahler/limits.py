@@ -43,9 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mahler_closed import (_aggregated_estimate, _require_order,
-                             grid_weight_sum)
-from .polynomials import PdSpec
+from .mahler_closed import _aggregated_estimate, grid_weight_sum
+from .polynomials import PdSpec, _require_order
 from .specfun import TWO_PI, ZETA3, _cl2_integrals
 
 # The exact integral of vol over T, and the limit of the family's Mahler
@@ -84,7 +83,7 @@ def blue_integral(n: int) -> float:
     n must be an integer >= 1; O(1) work at any n.  For n <= 2 there are no
     squares and eps(n) = I.
     """
-    _require_order(n, 1)
+    _require_order(n, 1, "n")
     if n <= 2:
         return INTEGRAL
     sl3, _ = _cl2_integrals(math.pi / n)

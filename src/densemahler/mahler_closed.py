@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import PdSpec
+from .polynomials import PdSpec, _require_order
 from .specfun import CL2_ERROR_BOUND, TWO_PI, cl2_array
 from .toric import _require_quadratic_d, diagonal_sign, toric_indices
 from .volume import vol_array, volume_v_array
@@ -69,12 +69,6 @@ class MahlerEstimate:
     error_bound: float
 
 
-def _require_order(n: int, low: int) -> None:
-    # the rule of PdSpec for a grid order, before any work
-    if not isinstance(n, int) or isinstance(n, bool) or n < low:
-        raise ValueError(f"n must be an integer >= {low}, got {n!r}")
-
-
 def grid_weight_sum(n: int) -> float:
     """W(n) = sum_{j=1}^{n-1} (2n - 3j - 1) Cl2(2 pi j / n), O(n) Clausen calls.
 
@@ -86,7 +80,7 @@ def grid_weight_sum(n: int) -> float:
     single-threaded numpy pairwise sum of weight * Cl2, never a BLAS dot,
     so its bits do not depend on the machine's thread count.
     """
-    _require_order(n, 2)
+    _require_order(n, 2, "n")
 
     def chunk_sum(lo):
         j = np.arange(lo, min(lo + _GRID_CHUNK, n), dtype=float)

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import (PdSpec, RootFindingError, aberth_roots_batch,
-                          slice_coeff_matrix)
+from .polynomials import (PdSpec, RootFindingError, _require_order,
+                          aberth_roots_batch, slice_coeff_matrix)
 from .specfun import TWO_PI
 from .volume import vol_array, volume_v
 
@@ -250,10 +250,7 @@ class CurveArc:
             raise ValueError("arc ends must be finite")
         if self.t_end == self.t_start:
             raise ValueError("arc must have nonzero extent")
-        if (not isinstance(self.steps, int) or isinstance(self.steps, bool)
-                or self.steps < 8):
-            raise ValueError(
-                f"steps must be an integer >= 8, got {self.steps!r}")
+        _require_order(self.steps, 8, "steps")
 
 
 def _match_branch(prev: complex, fibre: np.ndarray) -> complex:

@@ -47,6 +47,12 @@ class SingularPointError(ArithmeticError):
     """Logarithmic Gauss map evaluated where y * dP/dy vanishes."""
 
 
+def _require_order(value: int, low: int, name: str) -> None:
+    # an integer parameter: an int, not a bool, at least low, before any work
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PdSpec:
     """Family parameter d >= 1 selecting the polynomial P_d."""
@@ -54,8 +60,7 @@ class PdSpec:
     d: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
-            raise ValueError(f"family parameter d must be an integer >= 1, got {self.d!r}")
+        _require_order(self.d, 1, "d")
 
 
 def eval_pd_array(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:

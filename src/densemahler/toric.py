@@ -18,16 +18,17 @@ toric_indices builds the points as int arrays (modulus, k, k') with numpy
 from this closed description and checks every one of them against it in
 exact integers, to guard against implementation slips; diagonal_sign is the
 table above, elementwise on those arrays.  toric_gamma is gamma on those
-arrays (one gauss_map call), and check_regularity confirms with it that
-Im gamma never vanishes and that the sign table matches it at every point;
-it returns the table it checked, which is what report toric prints.
+arrays from the two closed forms above, O(1) work per point, and
+check_regularity confirms with it that Im gamma never vanishes and that the
+sign table matches it at every point; it returns the table it checked, which
+is what report toric prints.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .polynomials import PdSpec, gauss_map
+from .polynomials import PdSpec
 from .specfun import TWO_PI
 
 REGULARITY_MIN_IM = 1e-8
@@ -112,7 +113,9 @@ def diagonal_sign(d: int, n, k, kp):
 
 def toric_gamma(spec: PdSpec, n, k, kp) -> np.ndarray:
     """The Gauss map gamma at the toric points with index arrays (n, k, k')."""
-    return gauss_map(spec, _root_of_unity(k, n), _root_of_unity(kp, n))
+    x, y = _root_of_unity(k, n), _root_of_unity(kp, n)
+    g = (y - 1) / (1 - x)
+    return np.where(n == spec.d + 1, g * x / y, g)
 
 
 def check_regularity(spec: PdSpec) -> tuple:

@@ -45,12 +45,13 @@ import numpy as np
 TRIANGLE_TOL = 1e-9
 
 
-def in_triangle(theta: float, alpha: float, tol: float = TRIANGLE_TOL) -> bool:
+def in_triangle(theta: float, alpha: float) -> bool:
     """Membership in the closed triangle T, with floating-point slack.
 
     Elementwise when given arrays.
     """
-    return (theta >= -tol) & (alpha >= -tol) & (theta + alpha <= TWO_PI + tol)
+    return ((theta >= -TRIANGLE_TOL) & (alpha >= -TRIANGLE_TOL)
+            & (theta + alpha <= TWO_PI + TRIANGLE_TOL))
 
 
 def vol(theta: float, alpha: float) -> float:

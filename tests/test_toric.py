@@ -10,7 +10,7 @@ import pytest
 
 from densemahler import toric
 from densemahler.mahler_closed import m_closed_pointwise, m_closed_volsum
-from densemahler.polynomials import PdSpec, eval_pd_array
+from densemahler.polynomials import PdSpec, eval_pd_array, gauss_map
 from densemahler.toric import (RegularityError, check_regularity,
                                diagonal_sign, enumerate_toric, toric_indices)
 
@@ -158,6 +158,27 @@ def test_check_regularity():
     # the d = 2 minimum is 1/2, attained on the modulus-4 family
     im = check_regularity(PdSpec(2))[4]
     assert abs(np.min(np.abs(im)) - 0.5) <= 1e-12
+
+
+def test_toric_gamma_is_the_gauss_map_of_pd():
+    # toric_gamma is a closed form, so the sign table is checked against P_d
+    # itself only through this link: Horner's Gauss map at every torus point
+    for d in (*range(1, 41), 100):
+        spec = PdSpec(d)
+        n, k, kp = toric_indices(spec)
+        gamma = toric.toric_gamma(spec, n, k, kp)
+        horner = gauss_map(spec, toric._root_of_unity(k, n),
+                           toric._root_of_unity(kp, n))
+        err = np.abs(gamma - horner) / np.maximum(1.0, np.abs(horner))
+        assert np.max(err) <= 1e-12, d
+
+
+def test_check_regularity_at_max_quadratic_d():
+    # the largest d report toric takes: every one of its 2 million points
+    # keeps Im gamma well away from 0
+    table = check_regularity(PdSpec(toric.MAX_QUADRATIC_D))
+    assert [a.size for a in table] == [2_000_000] * 5
+    assert np.min(np.abs(table[4])) > 1e-3
 
 
 def test_regularity_threshold_violation(monkeypatch):
