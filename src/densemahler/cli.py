@@ -25,6 +25,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -43,12 +44,11 @@ def _fmt(x: float) -> str:
 
 
 def _emit(path: str | None, header: str, rows) -> None:
-    text = header + "\n" + "".join(",".join(row) + "\n" for row in rows)
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+    """Stream the CSV by rows; an I/O error mid-write can leave part of it."""
+    with (nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w", encoding="ascii", newline="")) as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _worker_count() -> int:
@@ -125,9 +125,9 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     kind = args.kind
     if kind == "toric":
-        # _emit joins every row before it opens the file, so a numeric
-        # failure leaves no partial CSV; the generator does not stream, it
-        # only spares the 0.8 GB of a list of the 2 million rows at d = 1000
+        # check_regularity runs as the generator is built, before _emit opens
+        # the file, so a numeric failure leaves no file; the rows then stream
+        # out, never held as a list or one string (2 million at d = 1000)
         rows = ([str(a), str(b), str(c), f"{e:+d}", _fmt(g)] for a, b, c, e, g
                 in zip(*check_regularity(PdSpec(args.d))))
         _emit(args.out, "n,k,k_prime,eps,im_gamma", rows)

@@ -2,12 +2,15 @@
 
 Route 1 (pointwise): m(P_d) = (1/2pi) * sum over toric points of
 eps(x,y) * V(x,y), the finite closed formula for regular exact polynomials,
-taken over the index arrays of toric_indices with one formula for V at
-every d.
+taken over the index arrays (n, k, k') of toric_indices.  At a torus zero
+x^n = y^n = 1, so the first bracket of V (see volume) vanishes on U_{d+1}
+and equals the second on U_{d+2}; each D on the torus is one Clausen value:
 
-Route 2 (vol-sum): grouping each point with its swap and using
-V = vol(...)/(d+2) on U_{d+1} (factor 1/(d+1) on U_{d+2}) turns the same sum
-into two sums over exponent pairs 0 < k < k':
+    V = [Cl2(2 pi k/n) - Cl2(2 pi k'/n) - Cl2(2 pi (k-k')/n)] / (d+2 or d+1).
+
+Route 2 (vol-sum): grouping each point with its swap turns that bracket into
+vol(2k pi/n, 2(k'-k) pi/n) for k < k', and the same sum into two sums over
+exponent pairs 0 < k < k':
 
     2pi m(P_d) = -2/(d+2) * sum_{0<k<k'<=d}   vol(2k pi/(d+1), 2(k'-k) pi/(d+1))
                +  2/(d+1) * sum_{0<k<k'<=d+1} vol(2k pi/(d+2), 2(k'-k) pi/(d+2)).
@@ -40,7 +43,7 @@ import numpy as np
 from .polynomials import PdSpec, _require_order
 from .specfun import CL2_ERROR_BOUND, TWO_PI, cl2_array
 from .toric import _require_quadratic_d, diagonal_sign, toric_indices
-from .volume import vol_array, volume_v_array
+from .volume import vol_array
 
 # angles per cl2_array call in grid_weight_sum; 2^15 chunks were faster in
 # process but slower end to end (ROADMAP item 2), so it stays 2^20
@@ -111,17 +114,29 @@ def _pair_grid(n: int) -> tuple:
     return TWO_PI * k / n, TWO_PI * (kp - k) / n
 
 
+def torus_volume_v(d: int, n: np.ndarray, k: np.ndarray,
+                   kp: np.ndarray) -> np.ndarray:
+    """V at the torus zeros (n, k, k') of toric_indices, in its torus form.
+
+    Route 1 above: three Clausen arrays on angles inside (-2 pi, 2 pi),
+    divided by d+2 on U_{d+1} and by d+1 on U_{d+2}.
+    """
+    v = (cl2_array(TWO_PI * k / n) - cl2_array(TWO_PI * kp / n)
+         - cl2_array(TWO_PI * (k - kp) / n))
+    v /= 2 * d + 3 - n
+    return v
+
+
 def m_closed_pointwise(spec: PdSpec) -> MahlerEstimate:
     """(1/2pi) sum of eps * V over all toric points (the direct formula)."""
     d = spec.d
     n, k, kp = toric_indices(spec)
-    eps = diagonal_sign(d, n, k, kp).astype(float)
+    v = torus_volume_v(d, n, k, kp)
+    v *= diagonal_sign(d, n, k, kp)
     # a pairwise sum on one core, not a BLAS dot: the bits do not depend
     # on the thread count
-    v = volume_v_array(spec, TWO_PI * k / n, TWO_PI * kp / n)
-    v *= eps
     total = float(v.sum())
-    # each V: 3 Clausen values over (d+1)(d+2) plus 3 over d+2 = 3/(d+1)
+    # each V: 3 Clausen values over d+2 or d+1, at most 3/(d+1)
     bound = 3.0 * n.size * CL2_ERROR_BOUND / ((d + 1.0) * TWO_PI)
     return MahlerEstimate(total / TWO_PI, bound)
 

@@ -7,12 +7,11 @@ of P_d is
             + [D(x) - D(y) - D(x/y)] / (d+2),
 
 with D the Bloch-Wigner dilogarithm; on the d = 1 curve 1 + x + y = 0 it
-equals the classical primitive -D(-x).  volume_v evaluates it at any
-x, y != 0, on or off the unit torus, through specfun.bloch_wigner (three
-Clausen values per D).  volume_v_array is the torus kernel of the pointwise
-route: on angles each D is one Clausen value.  The two are independent
-evaluators of the same V.  On torus points the bracket structure collapses
-to the two-angle function
+equals the classical primitive -D(-x).  volume_v, the one implementation
+of V, evaluates it at any x, y != 0, on or off the unit torus, through
+specfun.bloch_wigner (three Clausen values per D); the tests compare the
+pointwise route's torus form of V (mahler_closed) with it.  On torus points
+the bracket structure collapses to the two-angle function
 
     vol(theta, alpha) = Cl2(theta) + Cl2(alpha) - Cl2(theta + alpha)
 
@@ -109,20 +108,6 @@ def vol_hessian(theta: float, alpha: float) -> Hessian2:
     c_theta = 0.5 / math.tan(0.5 * theta)
     c_alpha = 0.5 / math.tan(0.5 * alpha)
     return Hessian2(c_sum - c_theta, c_sum, c_sum - c_alpha)
-
-
-def volume_v_array(spec: PdSpec, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """V(e^{i tx}, e^{i ty}) elementwise over arrays of angles.
-
-    All six dilogarithm arguments have unit modulus, so each D reduces to a
-    Clausen value at the corresponding multiple of the angles.
-    """
-    d = spec.d
-    m = d + 1.0
-    first = (cl2_array(m * ty) - cl2_array(m * tx)
-             - cl2_array(m * (ty - tx))) / ((d + 1.0) * (d + 2.0))
-    second = (cl2_array(tx) - cl2_array(ty) - cl2_array(tx - ty)) / (d + 2.0)
-    return first + second
 
 
 def volume_v(spec: PdSpec, x: complex, y: complex) -> float:

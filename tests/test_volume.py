@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import interior_triangle_points
+from densemahler.mahler_closed import torus_volume_v
 from densemahler.polynomials import PdSpec
 from densemahler.specfun import bloch_wigner, cl2
 from densemahler.toric import toric_indices
 from densemahler.volume import (Hessian2, in_triangle, vol, vol_array,
-                                vol_gradient, vol_hessian, volume_v,
-                                volume_v_array)
+                                vol_gradient, vol_hessian, volume_v)
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,8 +135,8 @@ def test_volume_v_diagonal_vanishes(rng):
 
 
 def test_volume_bridge_to_vol(rng):
-    # V = vol(2k pi/n, 2(k'-k) pi/n) / factor for k < k', negated under swap:
-    # the torus kernel at every torus zero, the scalar V at 20 of them per d
+    # V = vol(2k pi/n, 2(k'-k) pi/n) / factor for k < k', negated under swap,
+    # at 20 torus zeros per d
     for d in range(2, 21):
         spec = PdSpec(d)
         n, k, kp = toric_indices(spec)
@@ -145,10 +145,6 @@ def test_volume_bridge_to_vol(rng):
         factor = np.where(n == d + 1, d + 2, d + 1)
         bridged = vol_array(TWO_PI * k / n, TWO_PI * (kp - k) / n) / factor
         tx, ty = TWO_PI * k / n, TWO_PI * kp / n
-        direct, swapped = np.split(volume_v_array(
-            spec, np.concatenate([tx, ty]), np.concatenate([ty, tx])), 2)
-        assert np.max(np.abs(direct - bridged)) <= 1e-10
-        assert np.max(np.abs(swapped + direct)) <= 1e-10
         for i in rng.choice(n.size, min(20, n.size), replace=False):
             x, y = cmath.exp(1j * tx[i]), cmath.exp(1j * ty[i])
             scalar = volume_v(spec, x, y)
@@ -166,15 +162,16 @@ def test_volume_v_domain():
 
 def test_volume_v_matches_torus_kernel(rng):
     # two independent evaluators of V: three Clausen values per D against
-    # one; every torus zero for d <= 12, 200 of them at d = 40, 100, 300
+    # the pointwise route's torus form; every torus zero for d <= 12,
+    # 200 of them at d = 40, 100, 300
     for d in list(range(1, 13)) + [40, 100, 300]:
         spec = PdSpec(d)
         n, k, kp = toric_indices(spec)
         if n.size > 200:
             keep = rng.choice(n.size, 200, replace=False)
             n, k, kp = n[keep], k[keep], kp[keep]
+        kernel = torus_volume_v(d, n, k, kp)
         tx, ty = TWO_PI * k / n, TWO_PI * kp / n
-        kernel = volume_v_array(spec, tx, ty)
         for a, b, v in zip(tx, ty, kernel):
             scalar = volume_v(spec, cmath.exp(1j * a), cmath.exp(1j * b))
             assert abs(scalar - v) <= 1e-14, (d, a, b)
