@@ -2,10 +2,11 @@
 
 The family is P_d(x, y) = sum over all monomials x^i y^j with i + j <= d.
 Grouping by powers of y gives P_d = sum_j y^j * S_{d-j}(x) with the geometric
-column sums S_m(x) = 1 + x + ... + x^m, so one Horner pass in y that grows the
-S_m incrementally evaluates P_d in O(d) operations.  The same scheme gives the
-partial derivatives and the Gauss map, elementwise over arrays of points, and
-the y-slices (coefficient rows) whose roots feed the Jensen quadrature oracle.
+column sums S_m(x) = 1 + x + ... + x^m, so the y-slice through x0 has the
+coefficient row S_d(x0), ..., S_1(x0), 1, built in O(d) by growing the S_m.
+Each evaluator, elementwise over arrays of points, runs Horner on these rows:
+P_d on a row, dP_d/dy on its derivative, dP_d/dx with x and y swapped (P_d is
+symmetric); the Jensen quadrature oracle solves the rows for their roots.
 
 Away from the removable singularities the identity
 
@@ -63,18 +64,19 @@ class PdSpec:
         _require_order(self.d, 1, "d")
 
 
+def _points(x, y) -> tuple:
+    # every point runs as an element of a flat array, so a scalar call gives
+    # an array element's bits; returns the broadcast shape for the results
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex),
+                               np.asarray(y, dtype=complex))
+    return x.ravel(), y.ravel(), x.shape
+
+
 def eval_pd_array(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """P_d over arrays of points: Horner in y while growing S_m(x), O(d)."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    s = np.ones(np.broadcast(x, y).shape, dtype=complex)
-    xp = np.ones_like(s)
-    acc = s.copy()
-    for _ in range(spec.d):
-        xp = xp * x
-        s = s + xp
-        acc = acc * y + s
-    return acc
+    """P_d over arrays of points: each slice row by Horner in y, O(d)."""
+    x, y, shape = _points(x, y)
+    return _polyval_batch(slice_coeff_matrix(spec, x),
+                          y[:, None]).reshape(shape)[()]
 
 
 def eval_pd_rational(spec: PdSpec, x: complex, y: complex) -> complex:
@@ -91,43 +93,29 @@ def eval_pd_rational(spec: PdSpec, x: complex, y: complex) -> complex:
     return num / ((x - 1.0) * (y - 1.0) * (x - y))
 
 
-def _partial_x(d: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # dP_d/dx = sum_j y^j T_{d-j}(x) with T_m = sum_{i=1}^m i x^{i-1};
-    # Horner in y while growing T_m and the power tracker together.
-    t = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-    xp = np.ones_like(t)
-    acc = t
-    for m in range(1, d + 1):
-        t = t + m * xp
-        xp = xp * x
-        acc = acc * y + t
-    return acc
-
-
-def _as_points(x, y) -> tuple:
-    # numpy rounds a product of two complex scalars differently from the same
-    # product in an array, so a point runs as a one-element array
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    x, y = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (x, y))
-    return x, y, shape
+def _dp_dy(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # flat x and y: each slice row differentiated, then Horner in y
+    rows = slice_coeff_matrix(spec, x)
+    return _polyval_batch(rows[:, 1:] * np.arange(1, spec.d + 1),
+                          y[:, None])[:, 0]
 
 
 def eval_partials(spec: PdSpec, x, y) -> tuple:
-    """(dP_d/dx, dP_d/dy) elementwise; the y-partial swaps the arguments."""
-    x, y, shape = _as_points(x, y)
-    return (_partial_x(spec.d, x, y).reshape(shape)[()],
-            _partial_x(spec.d, y, x).reshape(shape)[()])
+    """(dP_d/dx, dP_d/dy) elementwise; the x-partial swaps the arguments."""
+    x, y, shape = _points(x, y)
+    return (_dp_dy(spec, y, x).reshape(shape)[()],
+            _dp_dy(spec, x, y).reshape(shape)[()])
 
 
 def gauss_map(spec: PdSpec, x, y):
     """Logarithmic Gauss map (x dP/dx) / (y dP/dy), elementwise; a
     SingularPointError names the first point where y dP/dy vanishes."""
-    x, y, shape = _as_points(x, y)
-    num, den = x * _partial_x(spec.d, x, y), y * _partial_x(spec.d, y, x)
+    x, y, shape = _points(x, y)
+    num, den = x * _dp_dy(spec, y, x), y * _dp_dy(spec, x, y)
     singular = np.abs(den) <= 1e-12 * np.maximum(1.0, np.abs(num))
     if np.any(singular):
         i = int(np.argmax(singular))
-        xi, yi = (complex(v.flat[i]) for v in np.broadcast_arrays(x, y))
+        xi, yi = complex(x[i]), complex(y[i])
         raise SingularPointError(
             f"y*dP/dy vanishes at (x, y) = ({xi!r}, {yi!r}) for d = {spec.d}")
     return (num / den).reshape(shape)[()]

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import run_cli
 
@@ -107,6 +108,23 @@ def test_report_toric_d2(capsys):
         eps = int(line.split(",")[3])
         im = float(line.split(",")[4])
         assert eps == (-1 if im > 0 else 1)
+
+
+def test_report_toric_rows_cross_a_block(tmp_path):
+    # d = 200 has 80 000 torus zeros, more than one block of formatted rows;
+    # every row keeps its index columns and sign exactly
+    from densemahler.polynomials import PdSpec
+    from densemahler.toric import diagonal_sign, toric_indices
+
+    out = tmp_path / "toric.csv"
+    assert run_cli(["report", "toric", "--d", "200", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    n, k, kp = toric_indices(PdSpec(200))
+    assert len(lines) - 1 == n.size > 65536
+    cols = np.loadtxt(lines[1:], delimiter=",", usecols=(0, 1, 2, 3),
+                      dtype=np.int64)
+    for got, want in zip(cols.T, (n, k, kp, diagonal_sign(200, n, k, kp))):
+        assert np.array_equal(got, want)
 
 
 def test_report_vol_grid(capsys):

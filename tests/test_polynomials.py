@@ -63,11 +63,17 @@ def test_array_eval_matches_scalar(rng):
     x = rng.normal(size=40) + 1j * rng.normal(size=40)
     y = rng.normal(size=40) + 1j * rng.normal(size=40)
     vals = eval_pd_array(PdSpec(d), x, y)
+    px, py = eval_partials(PdSpec(d), x, y)
+    # the defining double sums, independent of the Horner scheme
+    terms = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
     for i in range(40):
-        # the defining double sum, independent of the Horner scheme
-        ref = sum(complex(x[i]) ** a * complex(y[i]) ** b
-                  for a in range(d + 1) for b in range(d + 1 - a))
+        xi, yi = complex(x[i]), complex(y[i])
+        ref = sum(xi ** a * yi ** b for a, b in terms)
         for got in (vals[i], eval_pd_array(PdSpec(d), x[i], y[i])):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+        ref_x = sum(a * xi ** (a - 1) * yi ** b for a, b in terms if a)
+        ref_y = sum(b * xi ** a * yi ** (b - 1) for a, b in terms if b)
+        for got, ref in ((px[i], ref_x), (py[i], ref_y)):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
