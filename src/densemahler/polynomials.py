@@ -34,6 +34,10 @@ RATIONAL_FORM_EXCLUSION = 0.1
 ABERTH_MAX_ITER = 200
 ABERTH_NEWTON_TOL = 1e-13
 ROOT_RESIDUAL_TOL = 1e-10
+# complex values per block of the Aberth pairwise sums and of the
+# evaluators' slice rows: 512 KB, so the temporaries stay cache-sized at every
+# d; 2^13 to 2^17 time alike for m_oracle at d = 10 to 120 (2 vCPUs)
+_BLOCK_ELEMENTS = 2**15
 
 
 class RootFindingError(ArithmeticError):
@@ -64,19 +68,46 @@ class PdSpec:
         _require_order(self.d, 1, "d")
 
 
-def _points(x, y) -> tuple:
+def _points(spec: PdSpec, x, y, *kernels) -> tuple:
     # every point runs as an element of a flat array, so a scalar call gives
-    # an array element's bits; returns the broadcast shape for the results
+    # an array element's bits; each kernel(spec, x, y) runs on blocks of
+    # points whose slice rows hold at most _BLOCK_ELEMENTS values, so memory
+    # stays bounded at any d.  Returns the flat points, the broadcast shape
+    # for the results and each kernel's flat values
     x, y = np.broadcast_arrays(np.asarray(x, dtype=complex),
                                np.asarray(y, dtype=complex))
-    return x.ravel(), y.ravel(), x.shape
+    shape = x.shape
+    x, y = x.ravel(), y.ravel()
+    values = [np.empty(x.size, dtype=complex) for _ in kernels]
+    block = max(1, _BLOCK_ELEMENTS // (spec.d + 1))
+    for lo in range(0, x.size, block):
+        xb, yb = x[lo:lo + block], y[lo:lo + block]
+        for out, kernel in zip(values, kernels):
+            out[lo:lo + block] = kernel(spec, xb, yb)
+    return x, y, shape, values
+
+
+def _pd(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # flat x and y: each slice row by Horner in y
+    return _polyval_batch(slice_coeff_matrix(spec, x), y[:, None])[:, 0]
+
+
+def _dp_dy(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # flat x and y: each slice row differentiated, then Horner in y
+    rows = slice_coeff_matrix(spec, x)
+    return _polyval_batch(rows[:, 1:] * np.arange(1, spec.d + 1),
+                          y[:, None])[:, 0]
+
+
+def _dp_dx(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # P_d is symmetric, so the x-partial swaps the arguments
+    return _dp_dy(spec, y, x)
 
 
 def eval_pd_array(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """P_d over arrays of points: each slice row by Horner in y, O(d)."""
-    x, y, shape = _points(x, y)
-    return _polyval_batch(slice_coeff_matrix(spec, x),
-                          y[:, None]).reshape(shape)[()]
+    _, _, shape, (p,) = _points(spec, x, y, _pd)
+    return p.reshape(shape)[()]
 
 
 def eval_pd_rational(spec: PdSpec, x: complex, y: complex) -> complex:
@@ -93,25 +124,17 @@ def eval_pd_rational(spec: PdSpec, x: complex, y: complex) -> complex:
     return num / ((x - 1.0) * (y - 1.0) * (x - y))
 
 
-def _dp_dy(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # flat x and y: each slice row differentiated, then Horner in y
-    rows = slice_coeff_matrix(spec, x)
-    return _polyval_batch(rows[:, 1:] * np.arange(1, spec.d + 1),
-                          y[:, None])[:, 0]
-
-
 def eval_partials(spec: PdSpec, x, y) -> tuple:
     """(dP_d/dx, dP_d/dy) elementwise; the x-partial swaps the arguments."""
-    x, y, shape = _points(x, y)
-    return (_dp_dy(spec, y, x).reshape(shape)[()],
-            _dp_dy(spec, x, y).reshape(shape)[()])
+    _, _, shape, (px, py) = _points(spec, x, y, _dp_dx, _dp_dy)
+    return px.reshape(shape)[()], py.reshape(shape)[()]
 
 
 def gauss_map(spec: PdSpec, x, y):
     """Logarithmic Gauss map (x dP/dx) / (y dP/dy), elementwise; a
     SingularPointError names the first point where y dP/dy vanishes."""
-    x, y, shape = _points(x, y)
-    num, den = x * _dp_dy(spec, y, x), y * _dp_dy(spec, x, y)
+    x, y, shape, (px, py) = _points(spec, x, y, _dp_dx, _dp_dy)
+    num, den = x * px, y * py
     singular = np.abs(den) <= 1e-12 * np.maximum(1.0, np.abs(num))
     if np.any(singular):
         i = int(np.argmax(singular))
@@ -158,7 +181,9 @@ def aberth_roots_batch(coeffs: np.ndarray,
     with a fixed angular offset, or come from `initial` (shape (D,) or
     (B, D), e.g. the solved roots of a nearby polynomial); the iteration is
     simultaneous, deterministic, and stops when every correction falls below
-    ABERTH_NEWTON_TOL.
+    ABERTH_NEWTON_TOL.  Memory is O(B * D) complex values plus one block of
+    pairwise root differences, max(D^2, 2^15) values at most; the roots do
+    not depend on the block size.
 
     Raises ValueError on non-finite coeffs or initial, and RootFindingError
     after ABERTH_MAX_ITER sweeps (read at call time).
@@ -191,15 +216,23 @@ def aberth_roots_batch(coeffs: np.ndarray,
         out = radius[:, None] * np.exp(1j * angles)[None, :]
 
     idx = np.arange(deg)
+    block = max(1, _BLOCK_ELEMENTS // deg ** 2)
+    aberth_sum = np.empty((n_poly, deg), dtype=complex)
     active = np.arange(n_poly)
     for _ in range(ABERTH_MAX_ITER):
         z = out[active]
         p = _polyval_batch(monic[active], z)
         dp = _polyval_batch(deriv[active], z)
-        diff = z[:, :, None] - z[:, None, :]
-        diff[:, idx, idx] = np.inf
-        aberth_sum = (1.0 / diff).sum(axis=2)
-        denom = dp - p * aberth_sum
+        # sum_{j != i} 1/(z_i - z_j), a block of rows at a time, so the
+        # pairwise temporary holds max(deg^2, _BLOCK_ELEMENTS) values at most
+        total = aberth_sum[:active.size]
+        for lo in range(0, active.size, block):
+            zb = z[lo:lo + block]
+            diff = zb[:, :, None] - zb[:, None, :]
+            diff[:, idx, idx] = np.inf
+            np.divide(1.0, diff, out=diff)
+            diff.sum(axis=2, out=total[lo:lo + block])
+        denom = dp - p * total
         # stalled denominator: skip the update for that root this sweep
         stalled = denom == 0
         w = np.where(stalled, 0.0, p / np.where(stalled, 1.0, denom))

@@ -20,6 +20,12 @@ def interior_triangle_points(rng, count, margin):
     return pts
 
 
+def same_bits(values, array) -> bool:
+    """True when values (scalars or an array) have array's bits."""
+    array = np.asarray(array)
+    return np.asarray(values, dtype=array.dtype).tobytes() == array.tobytes()
+
+
 def run_cli(argv):
     """Invoke the CLI in-process; returns (exit_code, ...) via SystemExit too."""
     from densemahler.cli import main

@@ -188,16 +188,16 @@ def test_seeded_blocks_match_cold_solves():
 
 
 def test_oracle_memory_stays_bounded_in_d():
-    # Aberth's temporaries hold rows * d^2 values; above d = 30 the rows per
-    # block shrink like 1/d^2, so d = 60 peaks near d = 30's 49 MB, where a
-    # fixed row count would take 186 MB (and 48 GB at d = 1000)
+    # Aberth sums its pairwise differences in blocks of _BLOCK_ELEMENTS
+    # values, so the peak is a block of slices' rows and roots, about 7 MB
+    # at d = 60; one (rows, d, d) array and its reciprocal would take 46 MB
     tracemalloc.start()
     try:
         res = m_oracle(PdSpec(60))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 2**20
+    assert peak <= 16 * 2**20
     assert abs(res.value - m_closed_aggregated(PdSpec(60)).value) <= 1e-9
 
 

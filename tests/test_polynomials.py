@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from densemahler import polynomials
+from conftest import same_bits
+from densemahler import polynomials, toric
 from densemahler.polynomials import (PdSpec, RootFindingError,
                                      SingularPointError,
                                      aberth_roots_batch, eval_partials,
@@ -203,6 +205,69 @@ def test_aberth_batch_shapes_and_warm_start(rng):
         a = np.sort_complex(cold[i])
         b = np.sort_complex(warm[i])
         assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_aberth_blocks_give_the_one_pass_bits(monkeypatch, rng):
+    # the pairwise sums go a block of rows at a time: blocks of 1 row and of
+    # 3 rows (uneven on 11 slices, and again as rows converge) must give the
+    # bits of one block over the whole batch, cold and warm
+    for d in (1, 2, 7, 30):
+        x0 = 0.9 * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 11))
+        coeffs = slice_coeff_matrix(PdSpec(d), x0)
+        nearby = slice_coeff_matrix(PdSpec(d), 1.01 * x0)
+        solved = []
+        for rows in (11, 1, 3):
+            monkeypatch.setattr(polynomials, "_BLOCK_ELEMENTS", rows * d * d)
+            cold = aberth_roots_batch(coeffs)
+            solved.append((cold, aberth_roots_batch(nearby, initial=cold)))
+        for cold, warm in solved[1:]:
+            assert same_bits(cold, solved[0][0]), d
+            assert same_bits(warm, solved[0][1]), d
+
+
+def test_aberth_memory_is_bounded_in_d():
+    # one call on _slice_root_blocks' 96 slices at d = 120 holds its
+    # (slices, d) arrays and one block of pairwise differences; the whole
+    # (96, 120, 120) array and its reciprocal would take 42 MB
+    coeffs = slice_coeff_matrix(PdSpec(120),
+                                np.exp(1j * np.linspace(0.1, 0.15, 96)))
+    warm = aberth_roots_batch(coeffs[:1])[0]
+    tracemalloc.start()
+    try:
+        found = aberth_roots_batch(coeffs, initial=warm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert found.shape == (96, 120) and np.all(np.isfinite(found))
+
+
+def test_evaluators_in_blocks_bits_and_memory(monkeypatch, rng):
+    # the points go in blocks of slice rows: blocks of 1 and of 3 points
+    # (uneven on 10) give the bits of one block over all points
+    for d in (1, 7, 30):
+        spec = PdSpec(d)
+        x, y = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
+        values = []
+        for points in (10, 1, 3):
+            monkeypatch.setattr(polynomials, "_BLOCK_ELEMENTS",
+                                points * (d + 1))
+            values.append((eval_pd_array(spec, x, y),
+                           *eval_partials(spec, x, y), gauss_map(spec, x, y)))
+        for got in values[1:]:
+            assert all(same_bits(a, b) for a, b in zip(got, values[0])), d
+    monkeypatch.undo()
+    # the 20 000 torus zeros of d = 100: their slice rows at once take 62 MB
+    spec = PdSpec(100)
+    n, k, kp = toric_indices(spec)
+    x, y = toric._root_of_unity(k, n), toric._root_of_unity(kp, n)
+    tracemalloc.start()
+    try:
+        gauss_map(spec, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.size == 20_000 and peak <= 8 * 2**20
 
 
 def test_aberth_rejects_degenerate(monkeypatch):

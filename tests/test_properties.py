@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bits
 from densemahler.polynomials import (RATIONAL_FORM_EXCLUSION, PdSpec,
                                      SingularPointError, eval_partials,
                                      eval_pd_array, eval_pd_rational,
@@ -33,11 +34,6 @@ coords = st.floats(-2.0, 2.0)
 def triangle_points(draw):
     theta = draw(st.floats(0.0, TWO_PI))
     return theta, draw(st.floats(0.0, TWO_PI - theta))
-
-
-def same_bits(scalars, array) -> bool:
-    array = np.asarray(array)
-    return np.asarray(scalars, dtype=array.dtype).tobytes() == array.tobytes()
 
 
 @PROPERTY
