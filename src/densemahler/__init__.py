@@ -21,7 +21,7 @@ from .polynomials import (PdSpec, RootFindingError, SingularPointError,
                           eval_partials, gauss_map, roots)
 from .specfun import CL2_ERROR_BOUND, ZETA3, bloch_wigner, cl2, cl2_array
 from .toric import (RegularityError, check_regularity, diagonal_sign,
-                    enumerate_toric, toric_gamma, toric_indices)
+                    enumerate_toric, toric_im_gamma, toric_indices)
 from .volume import (Hessian2, in_triangle, vol, vol_array, vol_gradient,
                      vol_hessian, volume_v)
 

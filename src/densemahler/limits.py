@@ -104,8 +104,10 @@ class LimitRow:
 def limit_report(d_list: list) -> list:
     """Convergence table: m(P_d), its gap to LIMIT, and the identity residual.
 
-    The residual checks |2 pi m(P_d) - [A(d) I - B(d) I + B(d) E(d+1)
-    - A(d) E(d+2)]| with A = (d+2)^2/(2 pi^2 (d+1)), B = (d+1)^2/(2 pi^2 (d+2)),
+    The gap LIMIT - m(P_d) is signed: the true gap is positive, about
+    log(d)/(2 d^2), so a negative one is rounding of the O(d) sum.  The
+    residual checks |2 pi m(P_d) - [A(d) I - B(d) I + B(d) E(d+1) - A(d)
+    E(d+2)]| with A = (d+2)^2/(2 pi^2 (d+1)), B = (d+1)^2/(2 pi^2 (d+2)),
     the exact decomposition behind the limit theorem.  Each row computes
     W(d+1) and W(d+2) once and takes m(P_d), E(d+1) and E(d+2) from them.
     """
@@ -122,5 +124,5 @@ def limit_report(d_list: list) -> list:
         b = (d + 1) ** 2 / (2.0 * math.pi ** 2 * (d + 2))
         bracket = (a * INTEGRAL - b * INTEGRAL + b * e1 - a * e2)
         residual = abs(TWO_PI * m - bracket)
-        rows.append(LimitRow(d, m, abs(m - LIMIT), residual))
+        rows.append(LimitRow(d, m, LIMIT - m, residual))
     return rows

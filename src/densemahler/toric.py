@@ -6,22 +6,24 @@ distinct, nontrivial n-th roots of unity for n = d + 1 and n = d + 2:
     U_n = {(e^{2 pi i k / n}, e^{2 pi i k' / n}) : 0 < k, k' < n, k != k'}.
 
 Each point carries a sign eps = -sign(Im gamma), where gamma is the
-logarithmic Gauss map (x dP/dx) / (y dP/dy).  On U_{d+1} the map simplifies
-to -x(1-y)/(y(1-x)) and on U_{d+2} to -(1-y)/(1-x); chasing the inscribed
-angles shows the sign depends only on which side of the diagonal k = k' the
-exponent pair lies:
+logarithmic Gauss map (x dP/dx) / (y dP/dy).  It simplifies to
+-x(1-y)/(y(1-x)) on U_{d+1} and to -(1-y)/(1-x) on U_{d+2}, and
+1 - e^{it} = -2i sin(t/2) e^{it/2} turns both into
+
+    Im gamma = sigma sin(pi k'/n) sin(pi (k' - k)/n) / sin(pi k/n),
+
+sigma = +1 on U_{d+1} and -1 on U_{d+2}.  The sines of pi k/n and pi k'/n
+are positive, so sign(Im gamma) = sigma sign(k' - k), the table
 
     n = d + 1:  k < k' -> eps = -1,   k > k' -> eps = +1
     n = d + 2:  k < k' -> eps = +1,   k > k' -> eps = -1
 
-toric_indices builds the points as int arrays (modulus, k, k') with numpy
-from this closed description and checks every one of them against it in
-exact integers, to guard against implementation slips; diagonal_sign is the
-table above, elementwise on those arrays.  toric_gamma is gamma on those
-arrays from the two closed forms above, O(1) work per point, and
-check_regularity confirms with it that Im gamma never vanishes and that the
-sign table matches it at every point; it returns the table it checked, which
-is what report toric prints.
+toric_indices builds the points as int arrays (modulus, k, k') and checks
+each against the definition of U_n in exact integers; diagonal_sign is the
+table above, elementwise on those arrays.  check_regularity confirms with
+toric_im_gamma, O(1) work per point, that Im gamma never vanishes and that
+the table matches it at every point, and returns the table it checked,
+which is what report toric prints.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from .polynomials import PdSpec
-from .specfun import TWO_PI
 
 REGULARITY_MIN_IM = 1e-8
 # Largest d of the routes whose memory grows like d^2 (toric_indices, and so
@@ -41,11 +42,6 @@ MAX_QUADRATIC_D = 1000
 
 class RegularityError(ArithmeticError):
     """A toric point where the Gauss map degenerates or the sign table fails."""
-
-
-def _root_of_unity(k, n) -> np.ndarray:
-    """The torus coordinate e^{2 pi i k/n}, elementwise on int arrays."""
-    return np.exp(1j * (TWO_PI * k / n))
 
 
 def _check_zero_set(d: int, n: np.ndarray, k: np.ndarray,
@@ -111,11 +107,12 @@ def diagonal_sign(d: int, n, k, kp):
     return 1 - 2 * ((n == d + 1) == (k < kp))
 
 
-def toric_gamma(spec: PdSpec, n, k, kp) -> np.ndarray:
-    """The Gauss map gamma at the toric points with index arrays (n, k, k')."""
-    x, y = _root_of_unity(k, n), _root_of_unity(kp, n)
-    g = (y - 1) / (1 - x)
-    return np.where(n == spec.d + 1, g * x / y, g)
+def toric_im_gamma(spec: PdSpec, n, k, kp) -> np.ndarray:
+    """Im gamma at the toric points (n, k, k'): sigma times the three sines."""
+    im = np.sin(np.pi * kp / n)
+    im *= np.sin(np.pi * (kp - k) / n)
+    im /= np.sin(np.pi * k / n)
+    return np.negative(im, out=im, where=n != spec.d + 1)
 
 
 def check_regularity(spec: PdSpec) -> tuple:
@@ -128,7 +125,7 @@ def check_regularity(spec: PdSpec) -> tuple:
     """
     n, k, kp = toric_indices(spec)
     eps = diagonal_sign(spec.d, n, k, kp)
-    im = toric_gamma(spec, n, k, kp).imag
+    im = toric_im_gamma(spec, n, k, kp)
     small = np.abs(im) <= REGULARITY_MIN_IM
     bad = small | (eps != np.where(im > 0, -1, 1))
     if np.any(bad):

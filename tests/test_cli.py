@@ -282,7 +282,7 @@ def test_every_arithmetic_error_exits_4(monkeypatch, capsys):
     def sandwich(n, s_n):
         raise ArithmeticError("injected sandwich violation")
 
-    monkeypatch.setattr(toric, "toric_gamma", singular)
+    monkeypatch.setattr(toric, "toric_im_gamma", singular)
     monkeypatch.setattr(cli, "_error_E", sandwich)
     for argv, text in ((["report", "toric", "--d", "3"], "singular point"),
                        (["report", "riemann", "--n", "5"], "sandwich")):

@@ -64,7 +64,7 @@ def test_limit_report():
     rows = limit_report([10, 100, 1000])
     assert [r.d for r in rows] == [10, 100, 1000]
     for row in rows:
-        assert row.gap == abs(row.m_value - LIMIT)
+        assert row.gap == LIMIT - row.m_value
         assert row.reconstruction_residual <= 1e-8
     gaps = [r.gap for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]

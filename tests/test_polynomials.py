@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import same_bits
-from densemahler import polynomials, toric
+from densemahler import polynomials
 from densemahler.polynomials import (PdSpec, RootFindingError,
                                      SingularPointError,
                                      aberth_roots_batch, eval_partials,
@@ -260,7 +260,8 @@ def test_evaluators_in_blocks_bits_and_memory(monkeypatch, rng):
     # the 20 000 torus zeros of d = 100: their slice rows at once take 62 MB
     spec = PdSpec(100)
     n, k, kp = toric_indices(spec)
-    x, y = toric._root_of_unity(k, n), toric._root_of_unity(kp, n)
+    x = np.exp(1j * (2 * np.pi * k / n))
+    y = np.exp(1j * (2 * np.pi * kp / n))
     tracemalloc.start()
     try:
         gauss_map(spec, x, y)

@@ -161,22 +161,30 @@ def test_check_regularity():
 
 
 def test_toric_gamma_is_the_gauss_map_of_pd():
-    # toric_gamma is a closed form, so the sign table is checked against P_d
-    # itself only through this link: Horner's Gauss map at every torus point
+    # toric_im_gamma is a closed form, so the sign table is checked against
+    # P_d itself only through this link: Horner's Gauss map at every torus
+    # point
     for d in (*range(1, 41), 100):
         spec = PdSpec(d)
         n, k, kp = toric_indices(spec)
-        gamma = toric.toric_gamma(spec, n, k, kp)
-        horner = gauss_map(spec, toric._root_of_unity(k, n),
-                           toric._root_of_unity(kp, n))
-        err = np.abs(gamma - horner) / np.maximum(1.0, np.abs(horner))
+        im = toric.toric_im_gamma(spec, n, k, kp)
+        horner = gauss_map(spec, np.exp(1j * (2 * np.pi * k / n)),
+                           np.exp(1j * (2 * np.pi * kp / n)))
+        err = np.abs(im - horner.imag) / np.maximum(1.0, np.abs(horner))
         assert np.max(err) <= 1e-12, d
 
 
 def test_check_regularity_at_max_quadratic_d():
     # the largest d report toric takes: every one of its 2 million points
-    # keeps Im gamma well away from 0
-    table = check_regularity(PdSpec(toric.MAX_QUADRATIC_D))
+    # keeps Im gamma well away from 0, and the check holds little beyond the
+    # 80 MB of the table it returns
+    tracemalloc.start()
+    try:
+        table = check_regularity(PdSpec(toric.MAX_QUADRATIC_D))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
     assert [a.size for a in table] == [2_000_000] * 5
     assert np.min(np.abs(table[4])) > 1e-3
 
@@ -195,7 +203,7 @@ def test_check_regularity_returns_the_checked_table():
         spec = PdSpec(d)
         n, k, kp = toric_indices(spec)
         want = (n, k, kp, diagonal_sign(d, n, k, kp),
-                toric.toric_gamma(spec, n, k, kp).imag)
+                toric.toric_im_gamma(spec, n, k, kp))
         got = check_regularity(spec)
         assert len(got) == 5
         for a, b in zip(got, want):
