@@ -33,8 +33,12 @@ the increment of the volume function V, whose differential eta is, taken from
 volume.volume_v (valid off the unit torus).  Branch tracking solves every
 fibre of the arc with the same warm-started batch solver as the quadrature,
 starts from the root of least (real, imaginary) part and is plain
-nearest-root continuation: an ambiguous match or a near-collision of roots
-raises ContinuationError instead of guessing a branch.
+nearest-root continuation, followed in runs of one root index: a window of
+fibres is matched against the previous fibres' roots at that index in one
+array operation, and it is accepted up to the first fibre whose nearest root
+sits at another index.  That is O(m d) work for m fibres of d roots, in a
+handful of numpy calls per run.  An ambiguous match or a near-collision of
+roots raises ContinuationError instead of guessing a branch.
 
 vol_integral_quadrature evaluates the 2-D integral of vol over the triangle
 T by nested Gauss-Legendre with panels geometrically graded toward the
@@ -49,8 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import (PdSpec, RootFindingError, _require_order,
-                          aberth_roots_batch, slice_coeff_matrix)
+from .polynomials import (_BLOCK_ELEMENTS, PdSpec, RootFindingError,
+                          _require_order, aberth_roots_batch,
+                          slice_coeff_matrix)
 from .specfun import TWO_PI
 from .volume import vol_array, volume_v
 
@@ -257,43 +262,83 @@ class CurveArc:
         _require_order(self.steps, 8, "steps")
 
 
-def _match_branch(prev: complex, fibre: np.ndarray) -> complex:
-    """Nearest-root continuation step with collision and margin guards."""
-    dist = np.abs(fibre - prev)
-    order = np.argsort(dist)
-    best = fibre[order[0]]
-    if order.size > 1:
-        margin = dist[order[1]] - dist[order[0]]
-        if margin < 1e-12:
-            raise ContinuationError(
-                f"ambiguous branch match (margin {margin:.3e})")
-        others = np.abs(fibre[order[1:]] - best)
-        if np.min(others) < BRANCH_COLLISION_TOL:
+def _branch_columns(fibres: np.ndarray) -> np.ndarray:
+    # the root index of the nearest-root chain in every row of fibres, from
+    # the root of least (real, imaginary) part of row 0.  A window of rows
+    # is matched assuming the index p of the row before it; the window is
+    # taken up to its first row whose nearest root is not at p, which then
+    # switches p.  Windows double while p holds, up to a block of values.
+    m, d = fibres.shape
+    cols = np.empty(m, dtype=np.intp)
+    row = fibres[0]
+    p = cols[0] = min(range(d), key=lambda j: (row[j].real, row[j].imag))
+    i, width, cap = 1, 1, max(1, _BLOCK_ELEMENTS // d)
+    while i < m:
+        hi = min(i + width, m)
+        near = np.abs(fibres[i:hi] - fibres[i - 1:hi - 1, p, None]).argmin(1)
+        k = int(np.argmax(near != p))  # the first row that moves, else 0
+        if near[k] == p:
+            cols[i:hi] = p
+            i, width = hi, min(2 * width, cap)
+        else:
+            cols[i:i + k] = p
+            p = cols[i + k] = near[k]
+            i, width = i + k + 1, 1
+    return cols
+
+
+def _follow_branch(fibres: np.ndarray) -> np.ndarray:
+    """Nearest-root continuation through the rows of fibres, checked.
+
+    Starts from the root of least (real, imaginary) part of row 0 and takes
+    the nearest root of each next row.  Raises ContinuationError at the first
+    row whose match is ambiguous (the two nearest roots within 1e-12 of each
+    other in distance) or whose chosen root has another root closer than
+    BRANCH_COLLISION_TOL, the margin checked first.  A single root per row
+    is never checked.
+    """
+    m, d = fibres.shape
+    cols = _branch_columns(fibres)
+    y = fibres[np.arange(m), cols]
+    if d == 1:
+        return y
+    rows = max(1, _BLOCK_ELEMENTS // d)
+    for lo in range(1, m, rows):
+        hi = min(lo + rows, m)
+        block = fibres[lo:hi]
+        nearest_two = np.partition(np.abs(block - y[lo - 1:hi - 1, None]), 1,
+                                   axis=1)
+        margin = nearest_two[:, 1] - nearest_two[:, 0]
+        others = np.abs(block - y[lo:hi, None])
+        others[np.arange(hi - lo), cols[lo:hi]] = np.inf
+        gap = others.min(axis=1)
+        ambiguous = margin < 1e-12
+        bad = ambiguous | (gap < BRANCH_COLLISION_TOL)
+        if np.any(bad):
+            r = int(np.argmax(bad))
+            if ambiguous[r]:
+                raise ContinuationError(
+                    f"ambiguous branch match (margin {margin[r]:.3e})")
             raise ContinuationError(
                 f"branch collision: nearest other root at distance "
-                f"{np.min(others):.3e} < {BRANCH_COLLISION_TOL}")
-    return complex(best)
+                f"{gap[r]:.3e} < {BRANCH_COLLISION_TOL}")
+    return y
 
 
 def _track_branch(spec: PdSpec, arc: CurveArc) -> np.ndarray:
     """Roots along the fine grid (endpoints plus midpoints) on one branch.
 
-    Returns the branch values over 2*steps + 1 points, starting from the
-    root of least (real, imaginary) part.  Every fibre comes from one
-    _slice_root_blocks pass; an ambiguous match or a near-collision of roots
-    raises ContinuationError (take more steps or move the arc).
+    Returns the branch values over 2*steps + 1 points (_follow_branch through
+    their fibres).  Every fibre comes from one _slice_root_blocks pass; an
+    ambiguous match or a near-collision of roots raises ContinuationError
+    (take more steps or move the arc).
     """
     m = 2 * arc.steps + 1
     t = np.linspace(arc.t_start, arc.t_end, m)
     fibres = np.empty((m, spec.d), dtype=complex)
     for lo, hi, rts in _slice_root_blocks(spec, arc.radius * np.exp(1j * t), t):
         fibres[lo:hi] = rts
-
-    y = np.empty(m, dtype=complex)
-    y[0] = min(fibres[0], key=lambda r: (r.real, r.imag))
-    for i in range(1, m):
-        y[i] = _match_branch(y[i - 1], fibres[i])
-    return y
+    return _follow_branch(fibres)
 
 
 def eta_path_integral(spec: PdSpec, arc: CurveArc) -> dict:

@@ -20,10 +20,11 @@ are positive, so sign(Im gamma) = sigma sign(k' - k), the table
 
 toric_indices builds the points as int arrays (modulus, k, k') and checks
 each against the definition of U_n in exact integers; diagonal_sign is the
-table above, elementwise on those arrays.  check_regularity confirms with
-toric_im_gamma, O(1) work per point, that Im gamma never vanishes and that
-the table matches it at every point, and returns the table it checked,
-which is what report toric prints.
+table above, elementwise on those arrays.  toric_im_gamma takes each sine
+at pi min(j, n - j)/n <= pi/2, where sin keeps its relative digits.
+check_regularity confirms with it, O(1) work per point, that Im gamma
+never vanishes and that the table matches it at every point, and returns
+the table it checked, which is what report toric prints.
 """
 
 from __future__ import annotations
@@ -107,12 +108,35 @@ def diagonal_sign(d: int, n, k, kp):
     return 1 - 2 * ((n == d + 1) == (k < kp))
 
 
+def _sin_pi(j: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # sin(pi j/n) for int arrays 0 <= j <= n, taken at pi min(j, n - j)/n
+    # <= pi/2, where sin keeps its relative digits, so j and n - j give the
+    # same bits.  j is overwritten: n - |n - 2j| = 2 min(j, n - j) in place,
+    # and (pi/2) (2 min) is pi min exactly.
+    j *= 2
+    np.subtract(n, j, out=j)
+    np.abs(j, out=j)
+    np.subtract(n, j, out=j)
+    s = j * (np.pi / 2)
+    s /= n
+    return np.sin(s, out=s)
+
+
 def toric_im_gamma(spec: PdSpec, n, k, kp) -> np.ndarray:
-    """Im gamma at the toric points (n, k, k'): sigma times the three sines."""
-    im = np.sin(np.pi * kp / n)
-    im *= np.sin(np.pi * (kp - k) / n)
-    im /= np.sin(np.pi * k / n)
-    return np.negative(im, out=im, where=n != spec.d + 1)
+    """Im gamma at the toric points (n, k, k'): sigma times the three sines.
+
+    Each sine is taken at an angle of at most pi/2, with the sign of k' - k
+    restored at the end, so the mirror points (n, k, k') and
+    (n, k, (k - k') mod n), whose two sines of k' and k' - k swap, give the
+    same bits.
+    """
+    im = _sin_pi(np.array(kp), n)
+    diff = np.subtract(kp, k)
+    flip = (diff < 0) != (n != spec.d + 1)
+    im *= _sin_pi(np.abs(diff, out=diff), n)
+    del diff  # one int array less at the third sine: 16 MB at d = 1000
+    im /= _sin_pi(np.array(k), n)
+    return np.negative(im, out=im, where=flip)
 
 
 def check_regularity(spec: PdSpec) -> tuple:

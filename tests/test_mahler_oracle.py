@@ -301,49 +301,140 @@ def test_branch_collision_detected():
         primitive_check(PdSpec(2), arc)
 
 
-def _forced_fibre(monkeypatch, fibre_at, at_call):
-    # hand the nearest-root match the fibre fibre_at(prev) on its at_call-th
-    # call, and count the calls
-    real = mahler_oracle._match_branch
-    calls = {"match": 0}
-
+def _step_loop(fibres):
+    # the branch tracker as one nearest-root match per row, kept as the
+    # reference the array version must reproduce bit for bit, errors included
     def match(prev, fibre):
-        calls["match"] += 1
-        if calls["match"] == at_call:
-            fibre = fibre_at(prev)
-        return real(prev, fibre)
+        dist = np.abs(fibre - prev)
+        order = np.argsort(dist)
+        best = fibre[order[0]]
+        if order.size > 1:
+            margin = dist[order[1]] - dist[order[0]]
+            if margin < 1e-12:
+                raise ContinuationError(
+                    f"ambiguous branch match (margin {margin:.3e})")
+            others = np.abs(fibre[order[1:]] - best)
+            if np.min(others) < mahler_oracle.BRANCH_COLLISION_TOL:
+                raise ContinuationError(
+                    f"branch collision: nearest other root at distance "
+                    f"{np.min(others):.3e} < "
+                    f"{mahler_oracle.BRANCH_COLLISION_TOL}")
+        return complex(best)
 
-    monkeypatch.setattr(mahler_oracle, "_match_branch", match)
+    y = np.empty(fibres.shape[0], dtype=complex)
+    y[0] = min(fibres[0], key=lambda r: (r.real, r.imag))
+    for i in range(1, y.size):
+        y[i] = match(y[i - 1], fibres[i])
+    return y
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("d, arc", [
+    *((d, CurveArc(0.9, 0.2, 1.0)) for d in (1, 2, 3, 5)),
+    (30, CurveArc(1.1, 0.3, 1.3, steps=2000)),  # 12 root-index switches
+], ids=["d1", "d2", "d3", "d5", "d30"])
+def test_branch_tracking_matches_the_step_loop(monkeypatch, d, arc):
+    # the arcs of test_primitive_check_arcs and one with many index switches
+    seen = []
+    follow = mahler_oracle._follow_branch
+
+    def spy(fibres):
+        y = follow(fibres)
+        seen.append((fibres, y))
+        return y
+
+    monkeypatch.setattr(mahler_oracle, "_follow_branch", spy)
+    y = mahler_oracle._track_branch(PdSpec(d), arc)
+    (fibres, tracked), = seen
+    assert tracked is y and fibres.shape == (2 * arc.steps + 1, d)
+    assert _same_bits(y, _step_loop(fibres))
+    if d == 30:
+        assert np.count_nonzero(np.diff(mahler_oracle._branch_columns(fibres)))
+
+
+def test_branch_index_switching_on_every_row():
+    # row i is row 0 rolled by i: the branch keeps its value while its root
+    # index moves on every row, so every window ends after one row
+    row = np.array([0.5 + 0.2j, 1.0, -1.0 + 0.5j, 0.3 - 1.0j, -0.2 - 0.7j])
+    fibres = np.array([np.roll(row, i) for i in range(4001)])
+    tracemalloc.start()
+    try:
+        y = mahler_oracle._follow_branch(fibres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cols = mahler_oracle._branch_columns(fibres)
+    assert np.all(y == -1.0 + 0.5j)
+    assert np.array_equal(cols, (2 + np.arange(fibres.shape[0])) % row.size)
+    assert _same_bits(y, _step_loop(fibres))
+    assert peak <= 3 * fibres.nbytes
+
+
+def _forced_rows(monkeypatch, rows):
+    # overwrite fibres of the arc by rows {index: roots} as they leave the
+    # solver, and count the Aberth solves
+    solve = mahler_oracle.aberth_roots_batch
+    blocks = mahler_oracle._slice_root_blocks
+    calls = {"solve": 0}
+
+    def counted(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    def forced(spec, x0, thetas):
+        for lo, hi, rts in blocks(spec, x0, thetas):
+            for i, roots_i in rows.items():
+                if lo <= i < hi:
+                    rts[i - lo] = roots_i
+            yield lo, hi, rts
+
+    monkeypatch.setattr(mahler_oracle, "aberth_roots_batch", counted)
+    monkeypatch.setattr(mahler_oracle, "_slice_root_blocks", forced)
     return calls
+
+
+_SHORT_ARC = CurveArc(0.9, 0.2, 1.0, steps=8)
 
 
 def test_ambiguous_match_stops_tracking(monkeypatch):
     # an equidistant fibre cannot pick a branch: a plain error
+    fibres = np.array([[0.0, 5.0], [1.0, -1.0]], dtype=complex)
     with pytest.raises(ContinuationError, match="ambiguous branch match"):
-        mahler_oracle._match_branch(0j, np.array([1.0 + 0j, -1.0 + 0j]))
-    # an ambiguous fibre mid-arc ends the tracking; nothing re-solves the step
-    calls = _forced_fibre(
-        monkeypatch, lambda prev: np.array([prev + 1.0, prev - 1.0]),
-        at_call=5)
+        mahler_oracle._follow_branch(fibres)
+    # an ambiguous fibre mid-arc ends the tracking, ahead of a colliding
+    # fibre after it; nothing re-solves the step
+    rows = {}
+    calls = _forced_rows(monkeypatch, rows)
+    y4 = mahler_oracle._track_branch(PdSpec(3), _SHORT_ARC)[4]
+    unforced = calls["solve"]
+    rows[5] = [y4 + 1.0, y4 - 1.0, y4 + 5.0]
+    rows[7] = [y4 + 10.0, y4 + 10.0002, y4 + 10.0004]
     with pytest.raises(ContinuationError, match="ambiguous branch match"):
-        mahler_oracle._track_branch(PdSpec(3), CurveArc(0.9, 0.2, 1.0, steps=8))
-    assert calls["match"] == 5
+        mahler_oracle._track_branch(PdSpec(3), _SHORT_ARC)
+    assert calls["solve"] == 2 * unforced
 
 
 def test_collision_is_not_refined(monkeypatch):
     # two roots closer than the collision tolerance: a plain error
+    fibres = np.array([[0.0, 5.0, 6.0], [1.0, 1.0005, 5.0]], dtype=complex)
     with pytest.raises(ContinuationError) as info:
-        mahler_oracle._match_branch(0j, np.array([1.0, 1.0005, 5.0],
-                                                 dtype=complex))
+        mahler_oracle._follow_branch(fibres)
     assert type(info.value) is ContinuationError
     assert "collision" in str(info.value)
-    # a colliding fibre mid-arc ends the tracking; nothing re-solves the step
-    calls = _forced_fibre(
-        monkeypatch, lambda prev: np.array([prev, prev + 5e-4, prev + 5.0]),
-        at_call=5)
-    with pytest.raises(ContinuationError, match="collision"):
-        mahler_oracle._track_branch(PdSpec(3), CurveArc(0.9, 0.2, 1.0, steps=8))
-    assert calls["match"] == 5
+    # a colliding fibre mid-arc ends the tracking at its own distance, not
+    # at a later one; nothing re-solves the step
+    rows = {}
+    calls = _forced_rows(monkeypatch, rows)
+    y4 = mahler_oracle._track_branch(PdSpec(3), _SHORT_ARC)[4]
+    unforced = calls["solve"]
+    rows[5] = [y4, y4 + 5e-4, y4 + 5.0]
+    rows[7] = [y4, y4 + 2e-4, y4 + 5.0]
+    with pytest.raises(ContinuationError, match="collision.* 5.000e-04 <"):
+        mahler_oracle._track_branch(PdSpec(3), _SHORT_ARC)
+    assert calls["solve"] == 2 * unforced
 
 
 def test_arc_validation():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from densemahler import toric
+from densemahler.cli import main
 from densemahler.mahler_closed import m_closed_pointwise, m_closed_volsum
 from densemahler.polynomials import PdSpec, eval_pd_array, gauss_map
 from densemahler.toric import (RegularityError, check_regularity,
@@ -172,6 +173,25 @@ def test_toric_gamma_is_the_gauss_map_of_pd():
                            np.exp(1j * (2 * np.pi * kp / n)))
         err = np.abs(im - horner.imag) / np.maximum(1.0, np.abs(horner))
         assert np.max(err) <= 1e-12, d
+
+
+def test_mirror_points_print_the_same_im_gamma(capsys):
+    # sin(pi - t) = sin(t): the points (n, k, k') and (n, k, (k - k') mod n)
+    # have the sines of k' and k' - k in swapped order, so Im gamma has the
+    # same bits at both, and report toric prints the same value
+    for d in (*range(1, 41), 200):
+        spec = PdSpec(d)
+        n, k, kp = toric_indices(spec)
+        im = toric.toric_im_gamma(spec, n, k, kp)
+        row = (n * (d + 3) + k) * (d + 3)  # toric_indices is sorted by key
+        mirror = row + (k - kp) % n
+        at = np.searchsorted(row + kp, mirror)
+        assert np.array_equal(row[at] + kp[at], mirror)
+        assert np.array_equal(im[at].view(np.uint64), im.view(np.uint64)), d
+    assert main(["report", "toric", "--d", "30"]) == 0
+    printed = {tuple(line.split(",")[:3]): line.split(",")[4]
+               for line in capsys.readouterr().out.splitlines()[1:]}
+    assert printed["31", "1", "13"] == printed["31", "1", "19"]
 
 
 def test_check_regularity_at_max_quadratic_d():
