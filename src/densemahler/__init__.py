@@ -8,10 +8,9 @@ of m(P_d) to 9 zeta(3) / (2 pi^2).
 
 from .limits import (INTEGRAL, LIMIT, LimitRow, error_E, limit_report,
                      riemann_sum)
-from .mahler_closed import (METHOD_AGGREGATED, METHOD_ORACLE,
-                            METHOD_POINTWISE, METHOD_VOLSUM, MahlerEstimate,
-                            grid_weight_sum, m_closed, m_closed_aggregated,
-                            m_closed_pointwise, m_closed_volsum)
+from .mahler_closed import (ROUTES, MahlerEstimate, grid_weight_sum, m_closed,
+                            m_closed_aggregated, m_closed_pointwise,
+                            m_closed_volsum)
 from .mahler_oracle import (ContinuationError, CurveArc, OracleError,
                             OracleResult, QuadratureConfig, default_config,
                             eta_path_integral, m_oracle, primitive_check,

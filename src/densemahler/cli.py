@@ -30,8 +30,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .limits import INTEGRAL, LIMIT, _error_E, limit_report, riemann_sum
-from .mahler_closed import (METHOD_AGGREGATED, METHOD_FLAGS, METHOD_ORACLE,
-                            m_closed)
+from .mahler_closed import ROUTES, m_closed
 from .mahler_oracle import _require_oracle_d, m_oracle, vol_integral_quadrature
 from .polynomials import PdSpec
 from .specfun import TWO_PI
@@ -86,16 +85,11 @@ def _int_list_at_least(low: int):
 
 
 def cmd_measure(args) -> int:
-    spec = PdSpec(args.d)
-    method = METHOD_FLAGS[args.method]
-    if method == METHOD_ORACLE:
-        res = m_oracle(spec)
-        value, bound = res.value, res.error_estimate
-    else:
-        est = m_closed(spec, method)
-        value, bound = est.value, est.error_bound
-    print(f"m(P_{args.d}) = {value:.12f} [method={method}, "
-          f"error_bound={bound:.3e}]")
+    tag, _, second = ROUTES[args.method]
+    res = m_closed(PdSpec(args.d), args.method)
+    # the oracle's estimate prints under the label error_bound= too
+    print(f"m(P_{args.d}) = {res.value:.12f} [method={tag}, "
+          f"error_bound={getattr(res, second):.3e}]")
     return 0
 
 
@@ -108,7 +102,7 @@ def cmd_sweep(args) -> int:
         _require_oracle_d(oracle_ds[-1])
 
     def closed_column() -> list:
-        return [m_closed(PdSpec(d), METHOD_AGGREGATED).value for d in ds]
+        return [m_closed(PdSpec(d)).value for d in ds]
 
     # one task for the closed column: split, its tiny calls fight for the GIL
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
@@ -177,7 +171,7 @@ _commands = _PARSER.add_subparsers(dest="command", required=True)
 _measure = _commands.add_parser("measure", help="compute one m(P_d)")
 _measure.add_argument("--d", type=_int_at_least(1), required=True)
 _measure.add_argument("--method", default="aggregated",
-                      choices=sorted(METHOD_FLAGS))
+                      choices=sorted(ROUTES))
 
 _sweep = _commands.add_parser("sweep", parents=[_OUT], help="CSV over a range")
 _sweep.add_argument("--from", dest="d_from", type=_int_at_least(1),

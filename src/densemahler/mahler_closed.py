@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mahler_oracle import m_oracle  # the oracle row of ROUTES
 from .polynomials import PdSpec, _require_order
 from .specfun import CL2_ERROR_BOUND, TWO_PI, cl2_array
 from .toric import _require_quadratic_d, diagonal_sign, toric_indices
@@ -49,18 +50,15 @@ from .volume import vol_array
 # process but slower end to end (ROADMAP item 2), so it stays 2^20
 _GRID_CHUNK = 1 << 20
 
-METHOD_POINTWISE = "closed_pointwise"
-METHOD_VOLSUM = "closed_volsum"
-METHOD_AGGREGATED = "closed_aggregated"
-METHOD_ORACLE = "oracle"
-
-# The one table of estimate methods: command-line spelling -> method tag.
-# The closed route of tag t is the function m_t of this module.
-METHOD_FLAGS = {
-    "pointwise": METHOD_POINTWISE,
-    "volsum": METHOD_VOLSUM,
-    "aggregated": METHOD_AGGREGATED,
-    "oracle": METHOD_ORACLE,
+# The one table of routes: --method spelling -> (the tag measure prints,
+# the route function's name in this module, the field of its second
+# number: a proven bound for the closed routes, an empirical estimate for
+# the oracle).  Each route checks its own range of d.
+ROUTES = {
+    "pointwise": ("closed_pointwise", "m_closed_pointwise", "error_bound"),
+    "volsum": ("closed_volsum", "m_closed_volsum", "error_bound"),
+    "aggregated": ("closed_aggregated", "m_closed_aggregated", "error_bound"),
+    "oracle": ("oracle", "m_oracle", "error_estimate"),
 }
 
 
@@ -171,9 +169,13 @@ def _two_grids(d: int, x1: float, x2: float, mass1: int,
     return MahlerEstimate((c1 * x1 + c2 * x2) / TWO_PI, bound)
 
 
-def m_closed(spec: PdSpec, method: str = METHOD_AGGREGATED) -> MahlerEstimate:
-    """Dispatch to one of the three closed routes by method name."""
-    if method == METHOD_ORACLE or method not in METHOD_FLAGS.values():
-        raise ValueError(f"unknown closed method {method!r}")
-    # looked up at call time, so a rebound route is the one that runs
-    return globals()[f"m_{method}"](spec)
+def m_closed(spec: PdSpec, method: str = "aggregated"):
+    """m(P_d) by the route that ROUTES names for a --method spelling.
+
+    Returns the route's own result: a MahlerEstimate, or the oracle's
+    OracleResult.
+    """
+    if method not in ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    # looked up by name at call time, so a rebound route is the one that runs
+    return globals()[ROUTES[method][1]](spec)

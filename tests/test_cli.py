@@ -2,6 +2,7 @@
 
 import argparse
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -27,9 +28,17 @@ def test_measure_d1(capsys):
 
 
 def test_measure_d2_all_methods(capsys):
-    for method in ("pointwise", "volsum", "aggregated", "oracle"):
+    # every line of measure, pinned to its bytes; the oracle prints its
+    # estimate under the label error_bound= too
+    lines = {
+        "pointwise": "[method=closed_pointwise, error_bound=6.366e-13]",
+        "volsum": "[method=closed_volsum, error_bound=5.968e-13]",
+        "aggregated": "[method=closed_aggregated, error_bound=4.907e-13]",
+        "oracle": "[method=oracle, error_bound=8.491e-15]",
+    }
+    for method, tail in lines.items():
         assert run_cli(["measure", "--d", "2", "--method", method]) == 0
-        assert "0.421588834452" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"m(P_2) = 0.421588834452 {tail}\n"
 
 
 def test_measure_usage_errors(capsys):
@@ -258,13 +267,14 @@ def test_vol_grid_refuses_large_grid_n(capsys):
 
 
 def test_numeric_failure_exit_code(monkeypatch, capsys):
-    import densemahler.cli as cli
+    from densemahler import mahler_closed
     from densemahler.polynomials import RootFindingError
 
     def boom(spec):
         raise RootFindingError("injected failure", 1.0)
 
-    monkeypatch.setattr(cli, "m_oracle", boom)
+    # measure runs the oracle through the ROUTES table of mahler_closed
+    monkeypatch.setattr(mahler_closed, "m_oracle", boom)
     assert run_cli(["measure", "--d", "3", "--method", "oracle"]) == 4
     capsys.readouterr()
 
@@ -312,14 +322,15 @@ def test_report_toric_prints_only_checked_rows(tmp_path, monkeypatch, capsys):
 
 def test_oracle_d_limit_exits_2(monkeypatch, capsys):
     # above MAX_ORACLE_D, measure and sweep refuse before computing anything
-    import densemahler.cli as cli
-    from densemahler import mahler_oracle
+    from densemahler import mahler_closed, mahler_oracle
 
     def never(*args, **kwargs):
         raise AssertionError("computed a value")
 
     monkeypatch.setattr(mahler_oracle, "aberth_roots_batch", never)
-    monkeypatch.setattr(cli, "m_closed", never)
+    for route in ("m_closed_pointwise", "m_closed_volsum",
+                  "m_closed_aggregated"):
+        monkeypatch.setattr(mahler_closed, route, never)
     limit = mahler_oracle.MAX_ORACLE_D
     top = str(limit + 1)
     for argv in (["measure", "--d", top, "--method", "oracle"],
@@ -367,9 +378,9 @@ def test_sweep_closed_column_is_one_task(monkeypatch):
     calls = []
     original = cli.m_closed
 
-    def recording(spec, method):
+    def recording(spec):
         calls.append((spec.d, threading.get_ident()))
-        return original(spec, method)
+        return original(spec)
 
     monkeypatch.setattr(cli, "m_closed", recording)
     assert run_cli(["sweep", "--from", "1", "--to", "300",
@@ -381,14 +392,13 @@ def test_sweep_closed_column_is_one_task(monkeypatch):
 
 def test_sweep_rows_equal_direct_calls(tmp_path):
     from densemahler import PdSpec, m_closed, m_oracle
-    from densemahler.mahler_closed import METHOD_AGGREGATED
 
     out = tmp_path / "s.csv"
     assert run_cli(["sweep", "--from", "3", "--to", "40",
                     "--oracle-up-to", "9", "--out", str(out)]) == 0
     expected = ["d,m_closed,m_oracle,abs_diff"]
     for d in range(3, 41):
-        c = m_closed(PdSpec(d), METHOD_AGGREGATED).value
+        c = m_closed(PdSpec(d), "aggregated").value
         cells = [str(d), format(c, ".15g"), "", ""]
         if d <= 9:
             o = m_oracle(PdSpec(d)).value
@@ -444,6 +454,20 @@ def test_readme_command_lines_run(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_readme_methods_table_is_routes():
+    # the README's spellings, printed tags and second-number fields are
+    # the rows of ROUTES
+    from densemahler.mahler_closed import ROUTES
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("## Command line", 1)[1].split("\n\n| ", 1)[1]
+    table = table.split("\n\n", 1)[0].splitlines()[2:]
+    cells = [[cell.split("`")[1] for cell in line.split("|")[1:4]]
+             for line in table]
+    assert {method: (tag, field) for method, tag, field in cells} == {
+        method: (tag, field) for method, (tag, _, field) in ROUTES.items()}
+
+
 def test_readme_library_map_names_exist():
     # every backticked identifier in a row of the map is an attribute of
     # that row's module (a dotted one, of the package's module it names);
@@ -487,21 +511,27 @@ def test_entry_point_subprocess():
 
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     # a BLAS dot splits its sum by thread count; the closed routes' sums
-    # must not, or the digits after the cancellation at large d move
+    # must not, or the digits after the cancellation at large d move.
+    # numpy reads OPENBLAS_NUM_THREADS once, at import, so one child per
+    # setting runs every command and prints each one's exit code after it
+    run_each = ("import json, sys\n"
+                "from densemahler.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    print(f'exit {main(argv)}', flush=True)\n")
+
     def outputs(threads):
-        env = _child_env(OPENBLAS_NUM_THREADS=threads)
         csv = tmp_path / f"limit-{threads}.csv"
-        stdout = []
-        for argv in (["measure", "--d", "1000000"],
-                     ["measure", "--d", "300", "--method", "pointwise"],
-                     ["report", "limit", "--d", "100000,1000000",
-                      "--out", str(csv)]):
-            proc = subprocess.run(
-                [sys.executable, "-m", "densemahler.cli", *argv],
-                capture_output=True, timeout=120, env=env)
-            assert proc.returncode == 0, proc.stderr
-            stdout.append(proc.stdout)
-        return stdout, csv.read_bytes()
+        commands = [["measure", "--d", "1000000"],
+                    ["measure", "--d", "300", "--method", "pointwise"],
+                    ["report", "limit", "--d", "100000,1000000",
+                     "--out", str(csv)]]
+        proc = subprocess.run(
+            [sys.executable, "-c", run_each, json.dumps(commands)],
+            capture_output=True, timeout=120,
+            env=_child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(b"exit 0\n") == len(commands), proc.stdout
+        return proc.stdout, csv.read_bytes()
 
     assert outputs("1") == outputs("2")
 

@@ -9,9 +9,8 @@ import pytest
 
 from densemahler import mahler_closed
 from densemahler.limits import LIMIT
-from densemahler.mahler_closed import (METHOD_AGGREGATED, METHOD_POINTWISE,
-                                       METHOD_VOLSUM, grid_weight_sum,
-                                       m_closed, m_closed_aggregated,
+from densemahler.mahler_closed import (grid_weight_sum, m_closed,
+                                       m_closed_aggregated,
                                        m_closed_pointwise, m_closed_volsum)
 from densemahler.polynomials import PdSpec
 from densemahler.specfun import CL2_ERROR_BOUND, cl2, cl2_array
@@ -85,9 +84,9 @@ def test_large_d_values_and_runtime():
 
 def test_method_dispatch():
     spec = PdSpec(3)
-    assert m_closed(spec, METHOD_POINTWISE) == m_closed_pointwise(spec)
-    assert m_closed(spec, METHOD_VOLSUM) == m_closed_volsum(spec)
-    assert m_closed(spec, METHOD_AGGREGATED) == m_closed_aggregated(spec)
+    assert m_closed(spec, "pointwise") == m_closed_pointwise(spec)
+    assert m_closed(spec, "volsum") == m_closed_volsum(spec)
+    assert m_closed(spec, "aggregated") == m_closed_aggregated(spec)
     with pytest.raises(ValueError):
         m_closed(PdSpec(3), "nonsense")
 
