@@ -20,11 +20,12 @@ are positive, so sign(Im gamma) = sigma sign(k' - k), the table
 
 toric_indices builds the points as int arrays (modulus, k, k') and checks
 each against the definition of U_n in exact integers; diagonal_sign is the
-table above, elementwise on those arrays.  toric_im_gamma takes each sine
-at pi min(j, n - j)/n <= pi/2, where sin keeps its relative digits.
-check_regularity confirms with it, O(1) work per point, that Im gamma
-never vanishes and that the table matches it at every point, and returns
-the table it checked, which is what report toric prints.
+table above, elementwise on those arrays, and the only place the sign rule
+is written.  toric_im_gamma takes each sine at pi min(j, n - j)/n <= pi/2,
+where sin keeps its relative digits, and its sign from diagonal_sign.
+check_regularity confirms, O(1) work per point, that Im gamma never
+vanishes, and returns the table it checked, which is what report toric
+prints.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ MAX_QUADRATIC_D = 1000
 
 
 class RegularityError(ArithmeticError):
-    """A toric point where the Gauss map degenerates or the sign table fails."""
+    """A toric point where |Im gamma| is too small to trust its sign."""
 
 
 def _check_zero_set(d: int, n: np.ndarray, k: np.ndarray,
@@ -101,11 +102,11 @@ def enumerate_toric(spec: PdSpec) -> list:
 
 
 def diagonal_sign(d: int, n, k, kp):
-    """The sign table: -1 or +1 for modulus n and exponents k, k'.
+    """The sign table: -1 or +1 (int8) for modulus n and exponents k, k'.
 
     Elementwise on int arrays as on Python ints.
     """
-    return 1 - 2 * ((n == d + 1) == (k < kp))
+    return np.where((n == d + 1) == (k < kp), np.int8(-1), np.int8(1))
 
 
 def _sin_pi(j: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -123,20 +124,19 @@ def _sin_pi(j: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def toric_im_gamma(spec: PdSpec, n, k, kp) -> np.ndarray:
-    """Im gamma at the toric points (n, k, k'): sigma times the three sines.
+    """Im gamma at the toric points (n, k, k'): the three sines, signed.
 
-    Each sine is taken at an angle of at most pi/2, with the sign of k' - k
-    restored at the end, so the mirror points (n, k, k') and
-    (n, k, (k - k') mod n), whose two sines of k' and k' - k swap, give the
-    same bits.
+    Each sine is taken at an angle of at most pi/2, so sines alone give
+    |Im gamma|, and the sign is -eps from diagonal_sign; the mirror points
+    (n, k, k') and (n, k, (k - k') mod n), whose two sines of k' and k' - k
+    swap, give the same bits.
     """
     im = _sin_pi(np.array(kp), n)
     diff = np.subtract(kp, k)
-    flip = (diff < 0) != (n != spec.d + 1)
     im *= _sin_pi(np.abs(diff, out=diff), n)
     del diff  # one int array less at the third sine: 16 MB at d = 1000
     im /= _sin_pi(np.array(k), n)
-    return np.negative(im, out=im, where=flip)
+    return np.negative(im, out=im, where=diagonal_sign(spec.d, n, k, kp) > 0)
 
 
 def check_regularity(spec: PdSpec) -> tuple:
@@ -144,19 +144,15 @@ def check_regularity(spec: PdSpec) -> tuple:
 
     Returns the arrays (n, k, k', eps, Im gamma) in toric_indices order once
     every point has |Im gamma| > REGULARITY_MIN_IM (O(1) at small d; the
-    threshold only guards against gross errors) and eps = -sign(Im gamma).
-    Raises RegularityError naming the first offending point as (n, k, k').
+    threshold only guards against gross errors).  Raises RegularityError
+    naming the first offending point as (n, k, k').
     """
     n, k, kp = toric_indices(spec)
-    eps = diagonal_sign(spec.d, n, k, kp)
     im = toric_im_gamma(spec, n, k, kp)
     small = np.abs(im) <= REGULARITY_MIN_IM
-    bad = small | (eps != np.where(im > 0, -1, 1))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        at = f"(n, k, k') = ({n[i]}, {k[i]}, {kp[i]})"
-        if small[i]:
-            raise RegularityError(
-                f"|Im gamma| = {abs(im[i]):.3e} <= {REGULARITY_MIN_IM} at {at}")
-        raise RegularityError(f"sign table disagrees with computed gamma at {at}")
-    return n, k, kp, eps, im
+    if np.any(small):
+        i = int(np.argmax(small))
+        raise RegularityError(
+            f"|Im gamma| = {abs(im[i]):.3e} <= {REGULARITY_MIN_IM} at "
+            f"(n, k, k') = ({n[i]}, {k[i]}, {kp[i]})")
+    return n, k, kp, diagonal_sign(spec.d, n, k, kp), im

@@ -302,21 +302,14 @@ def test_every_arithmetic_error_exits_4(monkeypatch, capsys):
 
 
 def test_report_toric_prints_only_checked_rows(tmp_path, monkeypatch, capsys):
-    # a sign table that disagrees with gamma at one point exits 4 before
-    # any file is opened
+    # an |Im gamma| at or below the regularity threshold exits 4 before any
+    # file is opened
     from densemahler import toric
 
-    table = toric.diagonal_sign
-
-    def one_flipped(d, n, k, kp):
-        eps = table(d, n, k, kp)
-        eps[5] = -eps[5]
-        return eps
-
-    monkeypatch.setattr(toric, "diagonal_sign", one_flipped)
+    monkeypatch.setattr(toric, "REGULARITY_MIN_IM", 10.0)
     out = tmp_path / "f"
     assert run_cli(["report", "toric", "--d", "3", "--out", str(out)]) == 4
-    assert "sign table disagrees" in capsys.readouterr().err
+    assert "|Im gamma| = " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -456,16 +449,22 @@ def test_readme_command_lines_run(tmp_path, capsys):
 
 def test_readme_methods_table_is_routes():
     # the README's spellings, printed tags and second-number fields are
-    # the rows of ROUTES
+    # the rows of ROUTES, and its largest d are the routes' limits
     from densemahler.mahler_closed import ROUTES
+    from densemahler.mahler_oracle import MAX_ORACLE_D
+    from densemahler.toric import MAX_QUADRATIC_D
 
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = text.split("## Command line", 1)[1].split("\n\n| ", 1)[1]
     table = table.split("\n\n", 1)[0].splitlines()[2:]
-    cells = [[cell.split("`")[1] for cell in line.split("|")[1:4]]
-             for line in table]
+    rows = [line.split("|")[1:5] for line in table]
+    cells = [[cell.split("`")[1] for cell in row[:3]] for row in rows]
     assert {method: (tag, field) for method, tag, field in cells} == {
         method: (tag, field) for method, (tag, _, field) in ROUTES.items()}
+    largest = {cell[0]: row[3].strip() for cell, row in zip(cells, rows)}
+    assert largest == {"pointwise": str(MAX_QUADRATIC_D),
+                       "volsum": str(MAX_QUADRATIC_D), "aggregated": "none",
+                       "oracle": str(MAX_ORACLE_D)}
 
 
 def test_readme_library_map_names_exist():

@@ -175,6 +175,28 @@ def test_toric_gamma_is_the_gauss_map_of_pd():
         assert np.max(err) <= 1e-12, d
 
 
+def test_im_gamma_takes_its_sign_from_the_table(monkeypatch):
+    # diagonal_sign is the one copy of the sign rule: a table flipped at one
+    # point flips Im gamma there, and only there, against Horner's Gauss map
+    d, at = 3, 5
+    table = toric.diagonal_sign
+
+    def one_flipped(d, n, k, kp):
+        eps = table(d, n, k, kp)
+        eps[at] = -eps[at]
+        return eps
+
+    monkeypatch.setattr(toric, "diagonal_sign", one_flipped)
+    spec = PdSpec(d)
+    n, k, kp = toric_indices(spec)
+    im = toric.toric_im_gamma(spec, n, k, kp)
+    horner = gauss_map(spec, np.exp(1j * (2 * np.pi * k / n)),
+                       np.exp(1j * (2 * np.pi * kp / n))).imag
+    off = np.abs(im - horner) > 1e-12 * np.maximum(1.0, np.abs(horner))
+    assert np.flatnonzero(off).tolist() == [at]
+    assert im[at] == pytest.approx(-horner[at], rel=1e-12)
+
+
 def test_mirror_points_print_the_same_im_gamma(capsys):
     # sin(pi - t) = sin(t): the points (n, k, k') and (n, k, (k - k') mod n)
     # have the sines of k' and k' - k in swapped order, so Im gamma has the
@@ -197,14 +219,15 @@ def test_mirror_points_print_the_same_im_gamma(capsys):
 def test_check_regularity_at_max_quadratic_d():
     # the largest d report toric takes: every one of its 2 million points
     # keeps Im gamma well away from 0, and the check holds little beyond the
-    # 80 MB of the table it returns
+    # 66 MB of the table it returns (three int64 index arrays, int8 signs and
+    # float64 Im gamma)
     tracemalloc.start()
     try:
         table = check_regularity(PdSpec(toric.MAX_QUADRATIC_D))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 128 * 2**20
+    assert peak <= 100 * 2**20
     assert [a.size for a in table] == [2_000_000] * 5
     assert np.min(np.abs(table[4])) > 1e-3
 
