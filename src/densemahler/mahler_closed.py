@@ -25,9 +25,9 @@ theta term when k = j (n-1-j pairs), as the alpha term when k'-k = j
     W(n) := sum_{0<k<k'<n} vol(a_k, a_{k'-k})
           = sum_{j=1}^{n-1} (2n - 3j - 1) * Cl2(2 pi j / n),
 
-which needs only n-1 Clausen calls.  The regrouping is validated against the
-naive double sum for every d <= 200 in the test suite before being trusted
-at larger d.
+which needs only n-1 Clausen calls.  The three counts are exact for every n,
+so the regrouping is an identity at every d; the suite's comparison with the
+naive double sum for d <= 200 is a check of that count.
 
 Error bounds propagate linearly from the per-call Clausen budget; the
 aggregated route's weight mass sum |2n - 3j - 1| is an exact integer.

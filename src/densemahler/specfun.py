@@ -15,9 +15,11 @@ and sums on [-pi, pi] the odd expansion
 
 obtained by integrating log(2*sin(t/2)) = log(t) - sum zeta(2n) (t/2pi)^(2n)/n
 term by term.  The shift is exact (Sterbenz), so Cl2(t) = -Cl2(2*pi - t) holds
-bit for bit.  At the slowest point |t| = pi the series ratio is 1/4, so the
-fixed 32-term truncation leaves a tail below 1e-18; double rounding dominates
-and every value carries an absolute error bound of 5e-13.  cl2_array is the one
+bit for bit.  With x = (t / 2pi)^2 <= 1/4 the 32 terms leave a tail below
+1e-18; the kernel sums them economized, as a polynomial in z = 8x - 1 on
+[-1, 1] less its Chebyshev tail below 2^-60: degree 13 (13 Horner steps, not
+31), within 1e-17 of the 32-term sum.  Double rounding dominates and every
+value carries an absolute error bound of 5e-13.  cl2_array is the one
 kernel; the scalar cl2 runs it on one angle and matches it bitwise.  The
 kernel sums the series over blocks of 2^15 angles, so its temporaries stay in
 cache; the values are the same bits as a single pass over the whole array.
@@ -61,9 +63,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Absolute error budget of one fast Clausen call (truncation < 1e-18 plus a
-# generous rounding allowance).  An O(d^2) sum at d = 1000 then stays below
-# ~1e-6 worst case.
+# Absolute error budget of one fast Clausen call (economized series within
+# 1e-17 of the full one, plus a generous rounding allowance).  An O(d^2) sum
+# at d = 1000 then stays below ~1e-6 worst case.
 CL2_ERROR_BOUND = 5e-13
 
 
@@ -87,6 +89,34 @@ _N_TERMS = 32
 _CL2_COEFFS = tuple(_zeta_em(2.0 * n) / (n * (2.0 * n + 1.0))
                     for n in range(1, _N_TERMS + 1))
 
+# The kernel's polynomial in z = 8x - 1: the fewest Chebyshev terms of the
+# sum whose dropped tail sums below _CL2_CHEB_TOL
+_CL2_CHEB_TOL = 2.0 ** -60
+
+
+def _economize() -> tuple:
+    # recentre at x = 1/8, e_k = sum_{n>=k} c_n C(n, k) 8^-n, and take the
+    # Chebyshev form by z^n = 2^(1-n) sum_j C(n, j) T_{n-2j} (T_0 at half
+    # weight), both sums of positive terms; back to powers of z through the
+    # exact integer coefficients of T_k = 2z T_{k-1} - T_{k-2}.  Not by
+    # numpy.polynomial: importing it with the package slowed oracle-check 6%
+    ks = range(_N_TERMS + 1)
+    e = [math.fsum(c * math.comb(n, k) * 8.0 ** -n
+                   for n, c in enumerate(_CL2_COEFFS, 1) if n >= k)
+         for k in ks]
+    b = [math.fsum(e[n] * math.comb(n, (n - k) // 2) * 2.0 ** (1 - n)
+                   for n in range(k, _N_TERMS + 1, 2)) / (1 + (k == 0))
+         for k in ks]
+    keep = sum(math.fsum(map(abs, b[k:])) >= _CL2_CHEB_TOL for k in ks)
+    t = [[1], [0, 1]]
+    while len(t) < keep:
+        t.append([2 * p - q for p, q in zip([0] + t[-1], t[-2] + [0, 0])])
+    return tuple(math.fsum(bk * tk[i] for bk, tk in zip(b, t) if i < len(tk))
+                 for i in range(keep))
+
+
+_CL2_POLY = _economize()
+
 # Angles per pass of the series: a block's temporaries (256 KB each) stay in
 # cache, where a pass over 1e6 angles streams 8 MB per operation.
 _CL2_BLOCK = 1 << 15
@@ -102,18 +132,21 @@ def _cl2_block(th: np.ndarray) -> np.ndarray:
                where=(th <= 0.0) | (th >= TWO_PI))[()]
     t = np.where(t > math.pi, t - TWO_PI, t)
     # the odd series on [-pi, pi], log masked at t = 0, where it gives +0.0;
-    # x * x, since x ** 2 on a numpy scalar goes through pow(), which can
-    # round unlike an array square
-    x = t / TWO_PI
-    x = x * x
-    # Horner in place: s *= x; s += c rounds exactly as s = s * x + c, and on
+    # z = 8 (t / 2pi)^2 - 1 in one buffer depends on t * t only, so the
+    # kernel stays exactly odd; z * z, since z ** 2 on a numpy scalar goes
+    # through pow(), which can round unlike an array square
+    z = t / TWO_PI
+    z = z * z
+    z *= 8.0
+    z -= 1.0
+    # Horner in place: s *= z; s += c rounds exactly as s = s * z + c, and on
     # a numpy scalar (0-d input) the augmented operators simply rebind s
-    s = x * 0.0 + _CL2_COEFFS[-1]
-    for c in reversed(_CL2_COEFFS[:-1]):
-        s *= x
+    s = z * 0.0 + _CL2_POLY[-1]
+    for c in reversed(_CL2_POLY[:-1]):
+        s *= z
         s += c
     a = np.abs(t)
-    return t * (1.0 - np.log(np.where(a > 0.0, a, 1.0)) + x * s)
+    return t * (1.0 - np.log(np.where(a > 0.0, a, 1.0)) + s)
 
 
 def cl2_array(theta: np.ndarray) -> np.ndarray:

@@ -59,8 +59,8 @@ def test_route_equivalence():
 
 
 def test_aggregated_validated_against_naive_sum():
-    # the multiplicity regrouping must reproduce the naive pair sum for
-    # every d up to 200 before it is trusted beyond
+    # the multiplicity count (n-1-j, n-1-j, j-1) is exact, so the regrouping
+    # reproduces the naive pair sum at every d; this checks it up to 200
     for d in range(1, 201):
         spec = PdSpec(d)
         naive = m_closed_volsum(spec).value

@@ -2,7 +2,10 @@
 
 mpmath is a test dependency only.  Cl2 is compared with mpmath's clsin(2, .)
 at the exact double angles, on a grid over |theta| <= 50 plus angles close
-to 0, pi and 2 pi, where the reduction and the logarithm are most delicate.
+to 0, pi and 2 pi, where the reduction and the logarithm are most delicate;
+there and on the grid angles 2 pi j/n the largest error is also pinned near
+rounding, and the kernel's economized polynomial is checked against the
+32-term series it economizes, at 40 digits.
 The Im gamma that report toric prints is compared with the imaginary part
 of the Gauss map's simplified closed form on both families of torus zeros,
 evaluated at 30 digits (every zero up to d = 40, 300 zeros of the largest
@@ -20,6 +23,7 @@ import math
 import mpmath
 import numpy as np
 
+from densemahler import specfun
 from densemahler.limits import blue_integral
 from densemahler.mahler_closed import (m_closed_aggregated,
                                        m_closed_pointwise, m_closed_volsum)
@@ -47,6 +51,57 @@ def test_cl2_against_mpmath():
     print(f"largest |cl2_array - clsin| = {err[worst]:.3e} "
           f"at theta = {theta[worst]!r}")
     assert err[worst] <= CL2_ERROR_BOUND
+
+
+def test_cl2_error_is_pinned_near_rounding():
+    # the loose bound above would pass a series cut too short (degree 10 in
+    # z errs by 6.5e-15 on the grid angles); here the largest error is
+    # pinned on the grid above, 1.09e-14 at theta = -1e-13, where reducing
+    # mod 2 pi rounds t by 4e-16, and on the closed route's grid angles
+    # 2 pi j/n, 1.59e-15
+    grid = _cl2_grid()
+    theta = np.concatenate([grid] + [2.0 * math.pi * np.arange(n) / n
+                                     for n in (7, 1000, 4099)])
+    got = cl2_array(theta)
+    with mpmath.workdps(20):
+        err = np.array([abs(mpmath.mpf(float(g))
+                            - mpmath.clsin(2, mpmath.mpf(float(t))))
+                        for g, t in zip(got, theta)], dtype=float)
+    for lo, hi, bound in ((0, grid.size, 2e-14),
+                          (grid.size, theta.size, 2e-15)):
+        worst = lo + int(np.argmax(err[lo:hi]))
+        print(f"largest |cl2_array - clsin| = {err[worst]:.3e} "
+              f"at theta = {theta[worst]!r}")
+        assert err[worst] <= bound
+
+
+def test_cl2_economized_series():
+    # the kernel's polynomial in z = 8x - 1 is the 32-term series
+    # sum c_n x^n on x in [0, 1/4] within 1e-17 (recentred elsewhere it is
+    # far off, one degree lower it errs by 1.8e-17), and the Chebyshev tail
+    # it drops sums below _CL2_CHEB_TOL while the last kept term does not
+    poly = [mpmath.mpf(a) for a in reversed(specfun._CL2_POLY)]
+    taylor = [mpmath.mpf(c) for c in reversed(specfun._CL2_COEFFS)]
+    n_nodes = 48
+    with mpmath.workdps(40):
+        worst = max(abs(mpmath.polyval(poly, 8 * x - 1)
+                        - x * mpmath.polyval(taylor, x))
+                    for x in map(mpmath.mpf, np.linspace(0.0, 0.25, 1000)))
+        # Chebyshev coefficients of the series in z from its values at the
+        # Chebyshev nodes, exact for its degree 32 < n_nodes (cheb[0] is
+        # twice the constant term, and is not used)
+        nodes = [mpmath.pi * (j + 0.5) / n_nodes for j in range(n_nodes)]
+        vals = [(1 + mpmath.cos(u)) / 8 for u in nodes]
+        vals = [x * mpmath.polyval(taylor, x) for x in vals]
+        cheb = [2 * mpmath.fsum(v * mpmath.cos(k * u)
+                                for v, u in zip(vals, nodes)) / n_nodes
+                for k in range(n_nodes)]
+    deg = len(poly) - 1
+    tail = float(mpmath.fsum(abs(b) for b in cheb[deg + 1:]))
+    print(f"degree {deg}, |poly - taylor| <= {float(worst):.3e}, "
+          f"dropped tail {tail:.3e}, last kept {float(abs(cheb[deg])):.3e}")
+    assert worst <= 1e-17
+    assert tail < specfun._CL2_CHEB_TOL <= tail + float(abs(cheb[deg]))
 
 
 def test_toric_gamma_matches_closed_form(rng):
