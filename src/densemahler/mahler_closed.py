@@ -29,6 +29,22 @@ which needs only n-1 Clausen calls.  The three counts are exact for every n,
 so the regrouping is an identity at every d; the suite's comparison with the
 naive double sum for d <= 200 is a check of that count.
 
+The fold by oddness (a test only; the route still sums n-1 values).  By
+Cl2(-x) = -Cl2(x) and 2 pi-periodicity, vol(a_k, a_{k'-k}) = Cl2(a_p) +
+Cl2(a_q) + Cl2(a_r) with (p, q, r) = (k, k'-k, n-k'), and 0 < k < k' < n
+runs over the compositions p + q + r = n into positive parts exactly once.
+That set is invariant under permuting (p, q, r), so each of the three terms
+sums to the same total, and for a given p there are n-1-p pairs (q, r):
+
+    W(n) = 3 * sum_{p=1}^{n-2} (n-1-p) Cl2(a_p).
+
+Pairing p with n-p, where Cl2(a_{n-p}) = -Cl2(a_p), leaves the weight
+(n-1-p) - (p-1) = n-2p on a_p; Cl2(a_{n/2}) = Cl2(pi) = 0 for even n, so
+
+    W(n) = sum_{1<=a<n/2} 3 (n-2a) Cl2(2 pi a / n),
+
+half the Clausen values, every weight positive.
+
 Error bounds propagate linearly from the per-call Clausen budget; the
 aggregated route's weight mass sum |2n - 3j - 1| is an exact integer.
 """
@@ -36,19 +52,23 @@ aggregated route's weight mass sum |2n - 3j - 1| is an exact integer.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mahler_oracle import m_oracle  # the oracle row of ROUTES
 from .polynomials import PdSpec, _require_order
-from .specfun import CL2_ERROR_BOUND, TWO_PI, cl2_array
+from .specfun import CL2_ERROR_BOUND, TWO_PI, _thread_blocks, cl2_array
 from .toric import _require_quadratic_d, diagonal_sign, toric_indices
 from .volume import vol_array
 
-# angles per cl2_array call in grid_weight_sum; 2^15 chunks were faster in
-# process but slower end to end (ROADMAP item 2), so it stays 2^20
-_GRID_CHUNK = 1 << 20
+# angles per cl2_array call in grid_weight_sum: one kernel block, so each
+# chunk's grid, weights and Clausen values stay in cache
+_GRID_CHUNK = 1 << 15
+
+# each thread's two buffers of grid_weight_sum, kept between calls
+_grid_scratch = threading.local()
 
 # The one table of routes: --method spelling -> (the tag measure prints,
 # the route function's name in this module, the field of its second
@@ -74,27 +94,37 @@ def grid_weight_sum(n: int) -> float:
     """W(n) = sum_{j=1}^{n-1} (2n - 3j - 1) Cl2(2 pi j / n), O(n) Clausen calls.
 
     n must be an integer >= 2.  The angles go to cl2_array _GRID_CHUNK at a
-    time, so memory stays bounded at any n; the chunk sums are added with
-    math.fsum.  Each chunk holds three arrays: the angles, the weights
-    (built in the buffer of j) and the Clausen values.  The in-place steps
-    round exactly as (2n - 3j - 1) and 2 pi j / n do.  The weighting is a
+    time, one kernel block, so memory stays bounded at any n and each chunk
+    stays in cache; the chunk sums are added with math.fsum.  j and the
+    angles, then the weights, live in two buffers that the calling thread
+    keeps, as the kernel keeps its scratch: allocated per call, they went
+    back to the OS at its end and the next call faulted them in again.  j
+    advances in place by the chunk (exact integers), and the in-place steps
+    round exactly as 2 pi j / n and (2n - 3j - 1) do.  The weighting is a
     single-threaded numpy pairwise sum of weight * Cl2, never a BLAS dot,
     so its bits do not depend on the machine's thread count.
     """
     _require_order(n, 2, "n")
+    size = min(_GRID_CHUNK, n - 1)
+    j, w = _thread_blocks(_grid_scratch, size)
+    np.copyto(j, np.arange(1.0, size + 1.0))
 
     def chunk_sum(lo):
-        j = np.arange(lo, min(lo + _GRID_CHUNK, n), dtype=float)
-        theta = TWO_PI * j
+        # one chunk from j = lo..; its Clausen values are freed on return,
+        # before the next chunk's are allocated
+        m = min(size, n - lo)
+        jm, wm = j[:m], w[:m]
+        theta = np.multiply(jm, TWO_PI, out=wm)
         theta /= n
-        j *= 3.0
-        np.subtract(2.0 * n, j, out=j)
-        j -= 1.0
         cl = cl2_array(theta)
-        cl *= j
+        np.multiply(jm, 3.0, out=wm)
+        np.subtract(2.0 * n, wm, out=wm)
+        wm -= 1.0
+        cl *= wm
+        jm += size
         return float(cl.sum())
 
-    return math.fsum(map(chunk_sum, range(1, n, _GRID_CHUNK)))
+    return math.fsum(map(chunk_sum, range(1, n, size)))
 
 
 def _weight_mass(n: int) -> int:

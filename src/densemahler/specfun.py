@@ -20,9 +20,17 @@ bit for bit.  With x = (t / 2pi)^2 <= 1/4 the 32 terms leave a tail below
 [-1, 1] less its Chebyshev tail below 2^-60: degree 13 (13 Horner steps, not
 31), within 1e-17 of the 32-term sum.  Double rounding dominates and every
 value carries an absolute error bound of 5e-13.  cl2_array is the one
-kernel; the scalar cl2 runs it on one angle and matches it bitwise.  The
-kernel sums the series over blocks of 2^15 angles, so its temporaries stay in
-cache; the values are the same bits as a single pass over the whole array.
+kernel; the scalar cl2 runs it on one angle, as numpy scalars, and matches it
+bitwise.  The log is lg = log(max(|t|, 5e-324)): t is +0.0 wherever |t| = 0,
+so the value there stays +0.0.  With s the polynomial, the tail is lg -= 1;
+s -= lg; s *= t, which rounds exactly as t * (1 - lg + s), since IEEE
+rounding is symmetric.  The kernel sums the series over blocks of 2^15
+angles, written into the output, in two scratch blocks that each thread
+keeps (the sweep's pool calls cl2_array from several threads) and never
+frees.  Freed 256 KB temporaries went back to the OS and the next block
+faulted them in again: with them, a pass of the closed route over 40 d in
+[1e3, 1e6] took some 14 000 minor page faults, and now takes none.  The
+values are the same bits as a single pass over the whole array.
 The reduction mod 2*pi touches only the angles outside (0, 2*pi): inside, fmod
 is exact and np.mod returns its input, so skipping it changes no bit, and the
 grid angles 2*pi*j/n of the closed route never pay for numpy's floating
@@ -58,6 +66,7 @@ never hard-coded.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -117,56 +126,92 @@ def _economize() -> tuple:
 
 _CL2_POLY = _economize()
 
-# Angles per pass of the series: a block's temporaries (256 KB each) stay in
+# Angles per pass of the series: a block's buffers (256 KB each) stay in
 # cache, where a pass over 1e6 angles streams 8 MB per operation.
 _CL2_BLOCK = 1 << 15
 
+# Each thread's two scratch blocks of the series, kept between calls: the
+# sweep's pool runs cl2_array from several threads at once
+_scratch = threading.local()
 
-def _cl2_block(th: np.ndarray) -> np.ndarray:
-    # Cl2 on finite angles of any shape; cl2_array feeds it one block at a time.
-    # np.mod returns angles in (0, 2*pi) unchanged, so only the others are
-    # reduced (zeros of either sign to +0.0); [()] keeps 0-d input a numpy
-    # scalar.  The shift to [-pi, pi] is exact (Sterbenz), and a tiny negative
-    # angle, which reduces to exactly 2*pi, shifts to +0.0
-    t = np.mod(th, TWO_PI, out=th.copy(),
-               where=(th <= 0.0) | (th >= TWO_PI))[()]
-    t = np.where(t > math.pi, t - TWO_PI, t)
-    # the odd series on [-pi, pi], log masked at t = 0, where it gives +0.0;
-    # z = 8 (t / 2pi)^2 - 1 in one buffer depends on t * t only, so the
-    # kernel stays exactly odd; z * z, since z ** 2 on a numpy scalar goes
-    # through pow(), which can round unlike an array square
-    z = t / TWO_PI
-    z = z * z
-    z *= 8.0
-    z -= 1.0
-    # Horner in place: s *= z; s += c rounds exactly as s = s * z + c, and on
-    # a numpy scalar (0-d input) the augmented operators simply rebind s
-    s = z * 0.0 + _CL2_POLY[-1]
-    for c in reversed(_CL2_POLY[:-1]):
-        s *= z
+
+def _thread_blocks(store: threading.local, size: int) -> tuple:
+    # two float buffers of `size` values that this thread keeps in store,
+    # grown to the largest size asked and never freed
+    buf = getattr(store, "buf", None)
+    if buf is None or buf.shape[1] < size:
+        buf = store.buf = np.empty((2, size))
+    return buf[0, :size], buf[1, :size]
+
+
+def _cl2_block(th: np.ndarray, out: np.ndarray | None = None):
+    # Cl2 on finite angles: a flat block th written into out, the series
+    # summed in this thread's scratch blocks, or with out=None a 0-d th as a
+    # numpy scalar, the same steps without masks or buffers (a ufunc call on
+    # a numpy scalar costs about ten arithmetic operators).  np.mod returns
+    # angles in (0, 2*pi) unchanged, so only the others are reduced (zeros
+    # of either sign to +0.0).  The shift to [-pi, pi] is exact (Sterbenz),
+    # and a tiny negative angle, which reduces to exactly 2*pi, shifts to
+    # +0.0.  z = 8 (t / 2pi)^2 - 1 depends on t * t only, so the kernel
+    # stays exactly odd (z * z: z ** 2 on a numpy scalar goes through pow(),
+    # which can round unlike an array square)
+    if out is None:
+        zb = None
+        t = th[()]
+        if not 0.0 < t < TWO_PI:
+            t = np.mod(t, TWO_PI)
+        if t > math.pi:
+            t -= TWO_PI
+        z = t / TWO_PI
+        z = 8.0 * (z * z) - 1.0
+        s = z * _CL2_POLY[-1]
+    else:
+        t, zb = _thread_blocks(_scratch, th.size)
+        np.copyto(t, th)
+        np.mod(t, TWO_PI, out=t, where=(t <= 0.0) | (t >= TWO_PI))
+        np.subtract(t, TWO_PI, out=t, where=t > math.pi)
+        z = np.divide(t, TWO_PI, out=zb)
+        z *= z
+        z *= 8.0
+        z -= 1.0
+        s = np.multiply(z, _CL2_POLY[-1], out=out)
+    # Horner in place from s = c_13 z: s += c; s *= z rounds exactly as
+    # s = (s + c) * z, and on numpy scalars the augmented operators rebind
+    for c in reversed(_CL2_POLY[1:-1]):
         s += c
-    a = np.abs(t)
-    return t * (1.0 - np.log(np.where(a > 0.0, a, 1.0)) + s)
+        s *= z
+    s += _CL2_POLY[0]
+    # t (1 - log|t| + s), the log in z's buffer: |t| is clamped to the least
+    # subnormal, where t = +0.0 keeps the value +0.0, and lg - 1 and
+    # s - (lg - 1) round exactly as -(1 - lg) and (1 - lg) + s
+    lg = np.abs(t, out=zb)
+    lg = np.maximum(lg, 5e-324, out=zb)
+    lg = np.log(lg, out=zb)
+    lg -= 1.0
+    s -= lg
+    s *= t
+    return s
 
 
 def cl2_array(theta: np.ndarray) -> np.ndarray:
     """Cl2 elementwise over an array of angles (any shape; 0-d input gives a
     numpy scalar).
 
-    More than _CL2_BLOCK angles are summed one flat block at a time into a
-    preallocated output, so every temporary of the series stays in cache;
-    the values are the same bits as one pass over the whole array.
+    The angles are summed one flat block of at most _CL2_BLOCK at a time
+    into the output, in two scratch blocks that the calling thread keeps,
+    so the series allocates no float array and stays in cache; the values
+    are the same bits as one pass over the whole array.
     """
     th = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("angles must be finite")
-    if th.size <= _CL2_BLOCK:
+    if th.ndim == 0:
         return _cl2_block(th)
-    flat = th.reshape(-1)
-    out = np.empty(flat.size)
+    out = np.empty(th.shape)
+    flat, dest = th.reshape(-1), out.reshape(-1)
     for lo in range(0, flat.size, _CL2_BLOCK):
-        out[lo:lo + _CL2_BLOCK] = _cl2_block(flat[lo:lo + _CL2_BLOCK])
-    return out.reshape(th.shape)
+        _cl2_block(flat[lo:lo + _CL2_BLOCK], dest[lo:lo + _CL2_BLOCK])
+    return out
 
 
 def _cl2_integrals(t: float) -> tuple:

@@ -139,19 +139,31 @@ def test_grid_weight_sum_bits_and_memory():
     # expressions are: W(n) is bitwise the fsum of the chunk sums of
     # weights * Cl2 written out, for n on both sides of _GRID_CHUNK
     chunk = mahler_closed._GRID_CHUNK
-    for n in (2, 3, 1001, 1 << 20, (1 << 20) + 1, (1 << 20) + 2):
+    for n in (2, 3, 1001, 1 << 15, (1 << 15) + 1, (1 << 15) + 2,
+              1 << 20, (1 << 20) + 1, (1 << 20) + 2):
         parts = []
         for lo in range(1, n, chunk):
             j = np.arange(lo, min(lo + chunk, n), dtype=float)
             parts.append(float(np.sum((2.0 * n - 3.0 * j - 1.0)
                                       * cl2_array(TWO_PI * j / n))))
         assert grid_weight_sum(n).hex() == math.fsum(parts).hex()
-    # a full chunk holds its angles, its weights and the Clausen values
-    # (8 MiB each) plus the kernel's block temporaries
+    # a chunk is one kernel block: the buffers of j and the angles, the
+    # kernel's two scratch blocks and a chunk of Clausen values (256 KiB
+    # each) plus its masks, whatever n is
     tracemalloc.start()
     try:
         grid_weight_sum((1 << 20) + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28 * 2 ** 20
+    assert peak < 4 * 2 ** 20
+
+
+def test_grid_weight_sum_folds_by_oddness():
+    # the fold of the module docstring: W(n) = sum_{1<=a<n/2} 3 (n - 2a)
+    # Cl2(2 pi a / n), half the Clausen values, every weight positive
+    for n in (3, 4, 7, 100, 32769, 32770, 100001):
+        a = np.arange(1, (n + 1) // 2)
+        folded = math.fsum(3.0 * (n - 2 * a) * cl2_array(TWO_PI * a / n))
+        w = grid_weight_sum(n)
+        assert abs(folded - w) <= 1e-15 * abs(w)

@@ -8,6 +8,7 @@ constant and the maximum of Cl2.
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -179,9 +180,9 @@ def test_blocks_give_the_one_pass_bits(monkeypatch, rng):
     sizes = []
     block = specfun._cl2_block
 
-    def counting_block(th):
+    def counting_block(th, out=None):
         sizes.append(np.size(th))
-        return block(th)
+        return block(th, out)
 
     monkeypatch.setattr(specfun, "_CL2_BLOCK", 7)
     monkeypatch.setattr(specfun, "_cl2_block", counting_block)
@@ -191,7 +192,76 @@ def test_blocks_give_the_one_pass_bits(monkeypatch, rng):
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(np.asarray(got).view(np.uint64),
                               np.asarray(want).view(np.uint64))
-        assert max(sizes) <= 7 and sum(sizes) == np.size(th)
+        # an empty input calls no block
+        assert max(sizes, default=0) <= 7 and sum(sizes) == np.size(th)
+
+
+def parent_kernel(th):
+    # the previous kernel's expression, written out: a copy reduced by a
+    # masked np.mod, np.where for the shift and for the log at t = 0, a
+    # Horner loop from z * 0.0 + c_13, and t * (1 - log|t| + s) at the end
+    th = np.asarray(th, dtype=float)
+    t = np.mod(th, TWO_PI, out=th.copy(),
+               where=(th <= 0.0) | (th >= TWO_PI))[()]
+    t = np.where(t > math.pi, t - TWO_PI, t)
+    z = t / TWO_PI
+    z = z * z
+    z *= 8.0
+    z -= 1.0
+    s = z * 0.0 + specfun._CL2_POLY[-1]
+    for c in reversed(specfun._CL2_POLY[:-1]):
+        s *= z
+        s += c
+    a = np.abs(t)
+    return t * (1.0 - np.log(np.where(a > 0.0, a, 1.0)) + s)
+
+
+def test_kernel_gives_the_parent_expression_bits(monkeypatch, rng):
+    # the scratch-block kernel (masked shift, log clamped at the least
+    # subnormal, tail lg - 1; s - lg; s * t) rounds exactly as the written
+    # out expression, on grid angles, uniform draws and the edges, on 0-d,
+    # 2-D and transposed input, and through blocks of 7
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, -1e-300, -1e-13, math.pi,
+                      np.nextafter(math.pi, 4.0), TWO_PI, 1e15, -1e15])
+    inputs = [TWO_PI * np.arange(n) / n for n in (7, 1000, 4099, 65537)]
+    inputs += [rng.uniform(-40.0, 40.0, 20_000),
+               rng.uniform(-1e6, 1e6, 20_000), edges]
+    grid = rng.uniform(-40.0, 40.0, (60, 70))
+    inputs += [grid, grid.T]
+
+    def same_bits(got, want):
+        assert np.shape(got) == np.shape(want)
+        return np.array_equal(np.asarray(got).view(np.uint64),
+                              np.asarray(want).view(np.uint64))
+
+    for th in inputs:
+        want = parent_kernel(th)
+        assert same_bits(cl2_array(th), want)
+        monkeypatch.setattr(specfun, "_CL2_BLOCK", 7)
+        assert same_bits(cl2_array(th), want)
+        monkeypatch.undo()
+    for t in np.concatenate([edges, inputs[5][:300], inputs[4][:300]]):
+        got = cl2_array(np.float64(t))
+        assert isinstance(got, np.float64)
+        assert same_bits(got, parent_kernel(t))
+        assert same_bits(cl2(t), parent_kernel(t))
+
+
+def test_scratch_blocks_are_per_thread(rng):
+    # two pool threads run cl2_array on different inputs at the same time,
+    # as the sweep's closed column and its oracle rows do; each thread
+    # sums in its own scratch blocks, so every result is the serial bits
+    inputs = [rng.uniform(-40.0, 40.0, 100_000),
+              TWO_PI * np.arange(1, 100_001) / 100_001]
+    serial = [cl2_array(th).view(np.uint64) for th in inputs]
+
+    def repeat(k):
+        return [cl2_array(inputs[k]).view(np.uint64) for _ in range(20)]
+
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(repeat, (0, 1)))
+    for want, got in zip(serial, results):
+        assert all(np.array_equal(g, want) for g in got)
 
 
 def test_kernel_memory_stays_near_the_output():
