@@ -2,9 +2,10 @@
 
 Route 1 (pointwise): m(P_d) = (1/2pi) * sum over toric points of
 eps(x,y) * V(x,y), the finite closed formula for regular exact polynomials,
-taken over the index arrays (n, k, k') of toric_indices.  At a torus zero
-x^n = y^n = 1, so the first bracket of V (see volume) vanishes on U_{d+1}
-and equals the second on U_{d+2}; each D on the torus is one Clausen value:
+taken over the blocks of index arrays (n, k, k') of toric_blocks.  At a
+torus zero x^n = y^n = 1, so the first bracket of V (see volume) vanishes on
+U_{d+1} and equals the second on U_{d+2}; each D on the torus is one Clausen
+value:
 
     V = [Cl2(2 pi k/n) - Cl2(2 pi k'/n) - Cl2(2 pi (k-k')/n)] / (d+2 or d+1).
 
@@ -60,7 +61,7 @@ import numpy as np
 from .mahler_oracle import m_oracle  # the oracle row of ROUTES
 from .polynomials import PdSpec, _require_order
 from .specfun import CL2_ERROR_BOUND, TWO_PI, _thread_blocks, cl2_array
-from .toric import _require_quadratic_d, diagonal_sign, toric_indices
+from .toric import _require_quadratic_d, diagonal_sign, toric_blocks
 from .volume import vol_array
 
 # angles per cl2_array call in grid_weight_sum: one kernel block, so each
@@ -144,7 +145,7 @@ def _pair_grid(n: int) -> tuple:
 
 def torus_volume_v(d: int, n: np.ndarray, k: np.ndarray,
                    kp: np.ndarray) -> np.ndarray:
-    """V at the torus zeros (n, k, k') of toric_indices, in its torus form.
+    """V at the torus zeros (n, k, k') of toric_blocks, in its torus form.
 
     Route 1 above: three Clausen arrays on angles inside (-2 pi, 2 pi),
     divided by d+2 on U_{d+1} and by d+1 on U_{d+2}.
@@ -156,16 +157,25 @@ def torus_volume_v(d: int, n: np.ndarray, k: np.ndarray,
 
 
 def m_closed_pointwise(spec: PdSpec) -> MahlerEstimate:
-    """(1/2pi) sum of eps * V over all toric points (the direct formula)."""
+    """(1/2pi) sum of eps * V over all toric points (the direct formula).
+
+    The points come in the blocks of toric_blocks, so memory stays O(block)
+    at any d; the block sums are added with math.fsum.
+    """
     d = spec.d
-    n, k, kp = toric_indices(spec)
-    v = torus_volume_v(d, n, k, kp)
-    v *= diagonal_sign(d, n, k, kp)
-    # a pairwise sum on one core, not a BLAS dot: the bits do not depend
-    # on the thread count
-    total = float(v.sum())
-    # each V: 3 Clausen values over d+2 or d+1, at most 3/(d+1)
-    bound = 3.0 * n.size * CL2_ERROR_BOUND / ((d + 1.0) * TWO_PI)
+
+    def block_sum(block):
+        v = torus_volume_v(d, *block)
+        v *= diagonal_sign(d, *block)
+        # a pairwise sum on one core, not a BLAS dot: the bits do not
+        # depend on the thread count
+        return float(v.sum())
+
+    total = math.fsum(map(block_sum, toric_blocks(spec)))
+    # each V: 3 Clausen values over d+2 or d+1, at most 3/(d+1), at each of
+    # the d(d-1) + (d+1)d points
+    points = d * (d - 1) + (d + 1) * d
+    bound = 3.0 * points * CL2_ERROR_BOUND / ((d + 1.0) * TWO_PI)
     return MahlerEstimate(total / TWO_PI, bound)
 
 

@@ -56,7 +56,7 @@ import numpy as np
 from .polynomials import (_BLOCK_ELEMENTS, PdSpec, RootFindingError,
                           _require_order, aberth_roots_batch,
                           slice_coeff_matrix)
-from .specfun import TWO_PI
+from .specfun import _CL2_BLOCK, TWO_PI
 from .volume import vol_array, volume_v
 
 _BATCH_LIMIT = 1536  # slices per Aberth call for d <= 30; fewer above
@@ -389,13 +389,22 @@ def vol_integral_quadrature() -> float:
 
     Outer integral in alpha over [0, 2*pi], inner in theta over
     [0, 2*pi - alpha], both with the graded composite Gauss rule of
-    _VOL_NODES nodes per panel.
+    _VOL_NODES nodes per panel.  The tensor grid is evaluated and reduced
+    a block of alpha rows at a time, at most one Clausen kernel block of
+    points (32 of 1024 rows), so memory stays O(block) and no matrix-vector
+    product is large enough to start BLAS threads; vol_array works
+    elementwise and each row's dot product is unchanged, so the value has
+    the bits of the whole grid in one pass.
     """
     u, wu = _graded_unit_rule(_VOL_NODES, _GRADING_DEPTH)
     alpha = TWO_PI * u
     w_alpha = TWO_PI * wu
     length = TWO_PI - alpha
-    theta = length[:, None] * u[None, :]
-    vals = vol_array(theta, alpha[:, None])
-    inner = length * (vals @ wu)
+    inner = np.empty(u.size)
+    rows = max(1, _CL2_BLOCK // u.size)
+    for lo in range(0, u.size, rows):
+        block = slice(lo, lo + rows)
+        theta = length[block, None] * u
+        inner[block] = vol_array(theta, alpha[block, None]) @ wu
+    inner *= length
     return float(w_alpha @ inner)

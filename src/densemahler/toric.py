@@ -18,8 +18,10 @@ are positive, so sign(Im gamma) = sigma sign(k' - k), the table
     n = d + 1:  k < k' -> eps = -1,   k > k' -> eps = +1
     n = d + 2:  k < k' -> eps = +1,   k > k' -> eps = -1
 
-toric_indices builds the points as int arrays (modulus, k, k') and checks
-each against the definition of U_n in exact integers; diagonal_sign is the
+toric_blocks enumerates the points as int arrays (modulus, k, k'), a block
+of whole rows (n, k) at a time, and checks each block against the
+definition of U_n in exact integers; toric_indices is the concatenation of
+its blocks, and the pointwise route sums over them; diagonal_sign is the
 table above, elementwise on those arrays, and the only place the sign rule
 is written.  toric_im_gamma takes each sine at pi min(j, n - j)/n <= pi/2,
 where sin keeps its relative digits, and its sign from diagonal_sign.
@@ -33,12 +35,14 @@ from __future__ import annotations
 import numpy as np
 
 from .polynomials import PdSpec
+from .specfun import _CL2_BLOCK
 
 REGULARITY_MIN_IM = 1e-8
 # Largest d of the routes whose memory grows like d^2 (toric_indices, and so
-# the pointwise route and report toric, the vol-sum pairs, and the grid size
-# of report vol-grid); a larger d raises a ValueError before allocating
-# instead of asking for gigabytes.
+# report toric, the vol-sum pairs, and the grid size of report vol-grid); a
+# larger d raises a ValueError before allocating instead of asking for
+# gigabytes.  The pointwise route sums toric_blocks in O(block) memory and
+# keeps the cap for its O(d^2) time; ROADMAP item 19 decides its fate.
 MAX_QUADRATIC_D = 1000
 
 
@@ -65,31 +69,51 @@ def _require_quadratic_d(d: int, name: str = "d") -> None:
                          "square")
 
 
-def toric_indices(spec: PdSpec) -> tuple:
-    """Int arrays (modulus, k, k') of all toric points, in that sort order.
+def toric_blocks(spec: PdSpec):
+    """Yield the toric points as blocks of int arrays (modulus, k, k').
 
-    The count is d(d-1) + (d+1)d.  Every point is checked against the
-    definition of U_n (n = d+1 or d+2, 0 < k, k' < n, k != k'); an
+    The points are rows (n, k) in toric_indices order, U_{d+1} then
+    U_{d+2}: row (n, k) holds k' in 1..n-1 without k, in increasing order.
+    A block takes whole rows, at most one Clausen kernel block of points
+    unless one row is longer, so up to d = 127 all the points are one
+    block.  Every block is checked against the definition of U_n; an
     AssertionError names the first point that fails it.  d > MAX_QUADRATIC_D
-    raises a ValueError.
+    raises a ValueError at the first block.
     """
     d = spec.d
     _require_quadratic_d(d)
-    n, k, kp = (np.empty(d * (d - 1) + (d + 1) * d, dtype=int)
+    row_n = np.repeat([d + 1, d + 2], [d, d + 1])
+    row_k = np.concatenate([np.arange(1, d + 1), np.arange(1, d + 2)])
+    rows = max(1, _CL2_BLOCK // d)  # a row has at most d points
+    for lo in range(0, row_n.size, rows):
+        size = row_n[lo:lo + rows] - 2
+        n = np.repeat(row_n[lo:lo + rows], size)
+        k = np.repeat(row_k[lo:lo + rows], size)
+        # j = 1..n-2 along each row, and k' = j, or j + 1 from j = k on
+        kp = np.arange(1, n.size + 1) - np.repeat(np.cumsum(size) - size, size)
+        kp += kp >= k
+        _check_zero_set(d, n, k, kp)
+        yield n, k, kp
+
+
+def toric_indices(spec: PdSpec) -> tuple:
+    """Int arrays (modulus, k, k') of all toric points, in that sort order.
+
+    The count is d(d-1) + (d+1)d.  The arrays are the blocks of
+    toric_blocks, each checked as it comes, copied in place.
+    d > MAX_QUADRATIC_D raises a ValueError before allocating.
+    """
+    d = spec.d
+    _require_quadratic_d(d)
+    out = tuple(np.empty(d * (d - 1) + (d + 1) * d, dtype=int)
                 for _ in range(3))
     lo = 0
-    for m in (d + 1, d + 2):
-        # the block of modulus m is an (m-1, m-2) grid: row k in 1..m-1
-        # holds k' in 1..m-1 without k, in increasing order
-        hi = lo + (m - 1) * (m - 2)
-        n[lo:hi] = m
-        row = np.arange(1, m)[:, None]
-        k[lo:hi].reshape(m - 1, m - 2)[...] = row
-        col = np.arange(1, m - 1)
-        np.add(col, col >= row, out=kp[lo:hi].reshape(m - 1, m - 2))
+    for block in toric_blocks(spec):
+        hi = lo + block[0].size
+        for a, b in zip(out, block):
+            a[lo:hi] = b
         lo = hi
-    _check_zero_set(d, n, k, kp)
-    return n, k, kp
+    return out
 
 
 def enumerate_toric(spec: PdSpec) -> list:

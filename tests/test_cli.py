@@ -510,7 +510,8 @@ def test_entry_point_subprocess():
 
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     # a BLAS dot splits its sum by thread count; the closed routes' sums
-    # must not, or the digits after the cancellation at large d move.
+    # and the quadrature's matrix-vector products must not, or the digits
+    # after the cancellation at large d move.
     # numpy reads OPENBLAS_NUM_THREADS once, at import, so one child per
     # setting runs every command and prints each one's exit code after it
     run_each = ("import json, sys\n"
@@ -520,17 +521,19 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
 
     def outputs(threads):
         csv = tmp_path / f"limit-{threads}.csv"
+        quad = tmp_path / f"vol-integral-{threads}.csv"
         commands = [["measure", "--d", "1000000"],
                     ["measure", "--d", "300", "--method", "pointwise"],
                     ["report", "limit", "--d", "100000,1000000",
-                     "--out", str(csv)]]
+                     "--out", str(csv)],
+                    ["report", "vol-integral", "--out", str(quad)]]
         proc = subprocess.run(
             [sys.executable, "-c", run_each, json.dumps(commands)],
             capture_output=True, timeout=120,
             env=_child_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count(b"exit 0\n") == len(commands), proc.stdout
-        return proc.stdout, csv.read_bytes()
+        return proc.stdout, csv.read_bytes(), quad.read_bytes()
 
     assert outputs("1") == outputs("2")
 

@@ -20,7 +20,7 @@ from densemahler.mahler_oracle import (ContinuationError, CurveArc,
 from densemahler.polynomials import (PdSpec, aberth_roots_batch, roots,
                                      slice_coeff_matrix)
 from densemahler.toric import toric_indices
-from densemahler.volume import vol
+from densemahler.volume import vol, vol_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -454,6 +454,36 @@ def test_arc_validation():
         with pytest.raises(ValueError, match="steps"):
             CurveArc(0.9, 0.0, 1.0, steps)
     assert CurveArc(0.9, 0.0, 1.0, 8).steps == 8
+
+
+def _vol_integral_whole_grid():
+    # the quadrature on the whole tensor grid at once, with one
+    # matrix-vector product: the value the row blocks must keep
+    u, wu = mahler_oracle._graded_unit_rule(mahler_oracle._VOL_NODES,
+                                            mahler_oracle._GRADING_DEPTH)
+    alpha = TWO_PI * u
+    w_alpha = TWO_PI * wu
+    length = TWO_PI - alpha
+    theta = length[:, None] * u[None, :]
+    vals = vol_array(theta, alpha[:, None])
+    inner = length * (vals @ wu)
+    return float(w_alpha @ inner)
+
+
+def test_vol_integral_quadrature_in_row_blocks(monkeypatch):
+    # 32 blocks of 32 rows at 64 nodes, 2 of 128 at 16: the whole grid's
+    # bits, without its 33 MiB of temporaries
+    for nodes in (64, 16):
+        monkeypatch.setattr(mahler_oracle, "_VOL_NODES", nodes)
+        want = _vol_integral_whole_grid()
+        tracemalloc.start()
+        try:
+            got = vol_integral_quadrature()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == want.hex(), nodes
+        assert peak <= 4 * 2**20, nodes
 
 
 def test_vol_integral_quadrature(monkeypatch):

@@ -12,8 +12,9 @@ from densemahler import toric
 from densemahler.cli import main
 from densemahler.mahler_closed import m_closed_pointwise, m_closed_volsum
 from densemahler.polynomials import PdSpec, eval_pd_array, gauss_map
-from densemahler.toric import (RegularityError, check_regularity,
-                               diagonal_sign, enumerate_toric, toric_indices)
+from densemahler.toric import (MAX_QUADRATIC_D, RegularityError,
+                               check_regularity, diagonal_sign,
+                               enumerate_toric, toric_blocks, toric_indices)
 
 # sign table for d = 2 (both families), keyed by (k, k_prime, modulus)
 D2_EPSILON = {
@@ -90,6 +91,34 @@ def test_index_arrays_in_sort_order_and_memory():
     finally:
         tracemalloc.stop()
     assert peak < 60e6
+
+
+def test_blocks_concatenate_to_the_index_arrays(monkeypatch):
+    # one enumeration: toric_indices is its blocks end to end, with the
+    # kernel's block size (one block up to d = 127) and with blocks of a few
+    # rows (at d = 13 a block holds the last row of U_14 and the first two
+    # of U_15; one row at d = 57, where a row is longer than the block)
+    for block in (None, 50):
+        if block is not None:
+            monkeypatch.setattr(toric, "_CL2_BLOCK", block)
+        for d in (1, 2, 3, 10, 13, 57):
+            blocks = list(toric_blocks(PdSpec(d)))
+            assert all(b[0].size <= max(toric._CL2_BLOCK, d) for b in blocks)
+            for a, parts in zip(toric_indices(PdSpec(d)), zip(*blocks)):
+                assert np.array_equal(a, np.concatenate(parts)), (block, d)
+
+
+def test_pointwise_route_memory_at_max_quadratic_d():
+    # the route sums block by block: a few MiB where the whole arrays of
+    # its 2 million points took 92 MiB
+    m_closed_pointwise(PdSpec(3))  # the kernel's scratch blocks, kept
+    tracemalloc.start()
+    try:
+        m_closed_pointwise(PdSpec(MAX_QUADRATIC_D))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_no_symmetric_point():
