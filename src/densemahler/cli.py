@@ -119,13 +119,11 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     kind = args.kind
     if kind == "toric":
-        # check_regularity runs before _emit opens the file, so a numeric
-        # failure leaves no file; the rows stream out of .tolist() blocks,
-        # never held as a list or one string (2 million at d = 1000)
-        table = check_regularity(PdSpec(args.d))
+        # check_regularity, the outermost iterable, runs here, before _emit
+        # opens the file, so a numeric failure leaves no file
         rows = ([str(a), str(b), str(c), f"{e:+d}", _fmt(g)]
-                for lo in range(0, table[0].size, 65536) for a, b, c, e, g
-                in zip(*(col[lo:lo + 65536].tolist() for col in table)))
+                for block in check_regularity(PdSpec(args.d))
+                for a, b, c, e, g in zip(*(col.tolist() for col in block)))
         _emit(args.out, "n,k,k_prime,eps,im_gamma", rows)
     elif kind == "vol-grid":
         m = args.grid_n

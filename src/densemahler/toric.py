@@ -25,12 +25,24 @@ its blocks, and the pointwise route sums over them; diagonal_sign is the
 table above, elementwise on those arrays, and the only place the sign rule
 is written.  toric_im_gamma takes each sine at pi min(j, n - j)/n <= pi/2,
 where sin keeps its relative digits, and its sign from diagonal_sign.
-check_regularity confirms, O(1) work per point, that Im gamma never
-vanishes, and returns the table it checked, which is what report toric
-prints.
+
+Im gamma never vanishes.  Put A = pi (k' - k)/n, B = pi (n - k')/n for
+k < k' and A = pi k'/n, B = pi (k - k')/n for k > k': A and B are positive
+multiples of pi/n with A + B < pi, so by sin(pi - t) = sin t and
+sin(A + B) = sin A sin B (cot A + cot B), the addition law behind the
+cotangent law of volume's Hessian note,
+
+    |Im gamma| = sin A sin B / sin(A + B) = 1 / (cot A + cot B).
+
+cot falls on (0, pi), so the minimum over A and B is at A = B = pi/n:
+|Im gamma| >= tan(pi/n)/2 on U_n, with equality at (n, k, k') = (n, 2, 1).
+Over n = d + 1 and d + 2 the minimum is tan(pi/(d + 2))/2, at (d + 2, 2, 1),
+and check_regularity's O(1) check compares it with REGULARITY_MIN_IM.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,11 +50,11 @@ from .polynomials import PdSpec
 from .specfun import _CL2_BLOCK
 
 REGULARITY_MIN_IM = 1e-8
-# Largest d of the routes whose memory grows like d^2 (toric_indices, and so
-# report toric, the vol-sum pairs, and the grid size of report vol-grid); a
+# Largest d of the routes that take d^2 points: it bounds the memory of
+# toric_indices, the vol-sum pairs and the grid of report vol-grid, where a
 # larger d raises a ValueError before allocating instead of asking for
-# gigabytes.  The pointwise route sums toric_blocks in O(block) memory and
-# keeps the cap for its O(d^2) time; ROADMAP item 19 decides its fate.
+# gigabytes, and only the time of the pointwise route and report toric,
+# which go through toric_blocks in O(block) memory.
 MAX_QUADRATIC_D = 1000
 
 
@@ -134,17 +146,9 @@ def diagonal_sign(d: int, n, k, kp):
 
 
 def _sin_pi(j: np.ndarray, n: np.ndarray) -> np.ndarray:
-    # sin(pi j/n) for int arrays 0 <= j <= n, taken at pi min(j, n - j)/n
-    # <= pi/2, where sin keeps its relative digits, so j and n - j give the
-    # same bits.  j is overwritten: n - |n - 2j| = 2 min(j, n - j) in place,
-    # and (pi/2) (2 min) is pi min exactly.
-    j *= 2
-    np.subtract(n, j, out=j)
-    np.abs(j, out=j)
-    np.subtract(n, j, out=j)
-    s = j * (np.pi / 2)
-    s /= n
-    return np.sin(s, out=s)
+    # sin(pi j/n) for int arrays 0 <= j <= n, at pi min(j, n - j)/n <= pi/2,
+    # where sin keeps its relative digits, so j and n - j give the same bits
+    return np.sin(np.pi * np.minimum(j, n - j) / n)
 
 
 def toric_im_gamma(spec: PdSpec, n, k, kp) -> np.ndarray:
@@ -155,28 +159,24 @@ def toric_im_gamma(spec: PdSpec, n, k, kp) -> np.ndarray:
     (n, k, k') and (n, k, (k - k') mod n), whose two sines of k' and k' - k
     swap, give the same bits.
     """
-    im = _sin_pi(np.array(kp), n)
-    diff = np.subtract(kp, k)
-    im *= _sin_pi(np.abs(diff, out=diff), n)
-    del diff  # one int array less at the third sine: 16 MB at d = 1000
-    im /= _sin_pi(np.array(k), n)
-    return np.negative(im, out=im, where=diagonal_sign(spec.d, n, k, kp) > 0)
+    im = _sin_pi(kp, n) * _sin_pi(np.abs(kp - k), n) / _sin_pi(k, n)
+    return np.where(diagonal_sign(spec.d, n, k, kp) > 0, -im, im)
 
 
-def check_regularity(spec: PdSpec) -> tuple:
-    """The torus zeros with their signs and Im gamma, checked at every point.
+def check_regularity(spec: PdSpec):
+    """The blocks (n, k, k', eps, Im gamma) of toric_blocks, once regular.
 
-    Returns the arrays (n, k, k', eps, Im gamma) in toric_indices order once
-    every point has |Im gamma| > REGULARITY_MIN_IM (O(1) at small d; the
-    threshold only guards against gross errors).  Raises RegularityError
-    naming the first offending point as (n, k, k').
+    At the call, d > MAX_QUADRATIC_D raises a ValueError, and the proved
+    min |Im gamma| = tan(pi/(d+2))/2 at or below REGULARITY_MIN_IM raises a
+    RegularityError naming the point (d+2, 2, 1) that attains it.
     """
-    n, k, kp = toric_indices(spec)
-    im = toric_im_gamma(spec, n, k, kp)
-    small = np.abs(im) <= REGULARITY_MIN_IM
-    if np.any(small):
-        i = int(np.argmax(small))
+    d = spec.d
+    _require_quadratic_d(d)
+    low = math.tan(math.pi / (d + 2)) / 2
+    if low <= REGULARITY_MIN_IM:
         raise RegularityError(
-            f"|Im gamma| = {abs(im[i]):.3e} <= {REGULARITY_MIN_IM} at "
-            f"(n, k, k') = ({n[i]}, {k[i]}, {kp[i]})")
-    return n, k, kp, diagonal_sign(spec.d, n, k, kp), im
+            f"|Im gamma| = {low:.3e} <= {REGULARITY_MIN_IM} at "
+            f"(n, k, k') = ({d + 2}, 2, 1)")
+    return ((n, k, kp, diagonal_sign(d, n, k, kp),
+             toric_im_gamma(spec, n, k, kp))
+            for n, k, kp in toric_blocks(spec))

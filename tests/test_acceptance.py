@@ -162,8 +162,8 @@ def test_criterion_8_toric_structure():
     min_im = math.inf
     sign_ok = True
     for d in range(1, 31):
-        im = check_regularity(PdSpec(d))[4]  # raises on any sign mismatch
-        min_im = min(min_im, float(np.min(np.abs(im))))
+        for block in check_regularity(PdSpec(d)):
+            min_im = min(min_im, float(np.min(np.abs(block[4]))))
     table = {(1, 2, 3): -1, (2, 1, 3): +1, (1, 2, 4): +1, (2, 1, 4): -1,
              (1, 3, 4): +1, (3, 1, 4): -1, (2, 3, 4): +1, (3, 2, 4): -1}
     spec2 = PdSpec(2)

@@ -120,8 +120,8 @@ def test_report_toric_d2(capsys):
 
 
 def test_report_toric_rows_cross_a_block(tmp_path):
-    # d = 200 has 80 000 torus zeros, more than one block of formatted rows;
-    # every row keeps its index columns and sign exactly
+    # d = 200 has 80 000 torus zeros, three blocks of toric_blocks; every
+    # row keeps its index columns and sign exactly
     from densemahler.polynomials import PdSpec
     from densemahler.toric import diagonal_sign, toric_indices
 
@@ -506,6 +506,33 @@ def test_entry_point_subprocess():
         capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0
     assert "0.323065947219" in proc.stdout
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_report_toric_memory_at_max_quadratic_d(tmp_path):
+    # the largest d report toric takes: its 2 million rows stream out block
+    # by block, so the whole process stays near the interpreter and numpy
+    # (37 MB), where the table of every point took 121 MB.  The child reads
+    # the peak of its own address space, VmHWM: its ru_maxrss, even
+    # RUSAGE_SELF, counts this test process's RSS at the spawn
+    out = tmp_path / "toric.csv"
+    run = ("import sys\n"
+           "from densemahler.cli import main\n"
+           "code = main(sys.argv[1:])\n"
+           "with open('/proc/self/status') as fh:\n"
+           "    hwm = next(x for x in fh if x.startswith('VmHWM:'))\n"
+           "print(code, hwm.split()[1])\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", run, "report", "toric", "--d", "1000",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib <= 64 * 2**10
+    with out.open("rb") as fh:
+        fh.seek(-64, os.SEEK_END)
+        assert fh.read().splitlines()[-1].startswith(b"1002,1001,1000,-1,")
 
 
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -10,7 +10,8 @@ import pytest
 
 from densemahler import toric
 from densemahler.cli import main
-from densemahler.mahler_closed import m_closed_pointwise, m_closed_volsum
+from densemahler.mahler_closed import (m_closed_pointwise, m_closed_volsum,
+                                       torus_volume_v)
 from densemahler.polynomials import PdSpec, eval_pd_array, gauss_map
 from densemahler.toric import (MAX_QUADRATIC_D, RegularityError,
                                check_regularity, diagonal_sign,
@@ -23,6 +24,11 @@ D2_EPSILON = {
     (1, 3, 4): +1, (3, 1, 4): -1,
     (2, 3, 4): +1, (3, 2, 4): -1,
 }
+
+
+def _checked(spec):
+    """check_regularity's blocks, concatenated column by column."""
+    return tuple(map(np.concatenate, zip(*check_regularity(spec))))
 
 
 def _points(d):
@@ -182,12 +188,65 @@ def test_quadratic_routes_refuse_large_d():
 
 def test_check_regularity():
     for d, count in ((1, 2), (2, 8), (10, 200)):
-        table = check_regularity(PdSpec(d))
+        table = _checked(PdSpec(d))
         assert [a.size for a in table] == [count] * 5
         assert np.min(np.abs(table[4])) > 1e-8
     # the d = 2 minimum is 1/2, attained on the modulus-4 family
-    im = check_regularity(PdSpec(2))[4]
+    im = _checked(PdSpec(2))[4]
     assert abs(np.min(np.abs(im)) - 0.5) <= 1e-12
+
+
+def test_min_im_gamma_in_closed_form(monkeypatch):
+    # tan(pi/(d+2))/2 is the scanned minimum of |Im gamma| over every torus
+    # zero, attained at (d+2, 2, 1), and it is the bound check_regularity
+    # compares: a threshold 4 ulp below the scanned minimum passes, 4 ulp
+    # above fails
+    for d in (*range(1, 101), MAX_QUADRATIC_D):
+        spec = PdSpec(d)
+        n, k, kp = toric_indices(spec)
+        im = np.abs(toric.toric_im_gamma(spec, n, k, kp))
+        least = np.min(im)
+        low = math.tan(math.pi / (d + 2)) / 2
+        assert abs(least - low) <= 2 * np.spacing(low), d
+        at = np.flatnonzero((n == d + 2) & (k == 2) & (kp == 1))
+        assert im[at].tolist() == [least], d
+        monkeypatch.setattr(toric, "REGULARITY_MIN_IM",
+                            least - 4 * np.spacing(least))
+        check_regularity(spec)
+        monkeypatch.setattr(toric, "REGULARITY_MIN_IM",
+                            least + 4 * np.spacing(least))
+        with pytest.raises(RegularityError, match=rf"= \({d + 2}, 2, 1\)"):
+            check_regularity(spec)
+    assert least > 1e-3
+
+
+def test_sign_times_v_is_constant_on_symmetry_orbits():
+    # (k, k') -> (k', k), (-k, k' - k) and (-k, -k') mod n generate the
+    # order-12 group of P_d's Newton triangle with conjugation; eps V is
+    # invariant under it, a check of the sign table apart from W(n)
+    for d in (1, 2, 3, 7, 30, 101):
+        n, k, kp = toric_indices(PdSpec(d))
+        ev = torus_volume_v(d, n, k, kp) * diagonal_sign(d, n, k, kp)
+        key = (n * (d + 3) + k) * (d + 3) + kp  # sorted, as toric_indices
+        images = []
+        for k2, kp2 in ((kp, k), (-k, kp - k), (-k, -kp)):
+            k2, kp2 = k2 % n, kp2 % n
+            at = np.searchsorted(key, (n * (d + 3) + k2) * (d + 3) + kp2)
+            assert np.array_equal(k[at], k2) and np.array_equal(kp[at], kp2)
+            images.append(at)
+        # label each point with the least index of its orbit
+        orbit = np.arange(n.size)
+        while True:
+            least = np.minimum.reduce([orbit, *(orbit[at] for at in images)])
+            if np.array_equal(least, orbit):
+                break
+            orbit = least
+        high = np.full(n.size, -np.inf)
+        low = np.full(n.size, np.inf)
+        np.maximum.at(high, orbit, ev)
+        np.minimum.at(low, orbit, ev)
+        spread = (high - low)[np.unique(orbit)]
+        assert np.max(spread) <= 4e-16, d
 
 
 def test_toric_gamma_is_the_gauss_map_of_pd():
@@ -245,38 +304,24 @@ def test_mirror_points_print_the_same_im_gamma(capsys):
     assert printed["31", "1", "13"] == printed["31", "1", "19"]
 
 
-def test_check_regularity_at_max_quadratic_d():
-    # the largest d report toric takes: every one of its 2 million points
-    # keeps Im gamma well away from 0, and the check holds little beyond the
-    # 66 MB of the table it returns (three int64 index arrays, int8 signs and
-    # float64 Im gamma)
-    tracemalloc.start()
-    try:
-        table = check_regularity(PdSpec(toric.MAX_QUADRATIC_D))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 100 * 2**20
-    assert [a.size for a in table] == [2_000_000] * 5
-    assert np.min(np.abs(table[4])) > 1e-3
-
-
 def test_regularity_threshold_violation(monkeypatch):
-    # with a threshold above every |Im gamma| the first point fails
+    # with a threshold above every |Im gamma| the check fails at the call,
+    # naming the point of the smallest one
     monkeypatch.setattr(toric, "REGULARITY_MIN_IM", 10.0)
-    with pytest.raises(RegularityError, match=r"at \(n, k, k'\) = \(3, 1, 2\)"):
+    with pytest.raises(RegularityError, match=r"at \(n, k, k'\) = \(4, 2, 1\)"):
         check_regularity(PdSpec(2))
 
 
 def test_check_regularity_returns_the_checked_table():
     # report toric prints this table, so it must be the one built from the
-    # index arrays, the sign table and gamma, bit for bit
-    for d in (1, 2, 10, 57):
+    # index arrays, the sign table and gamma, bit for bit (d = 128 spans two
+    # blocks)
+    for d in (1, 2, 10, 57, 128):
         spec = PdSpec(d)
         n, k, kp = toric_indices(spec)
         want = (n, k, kp, diagonal_sign(d, n, k, kp),
                 toric.toric_im_gamma(spec, n, k, kp))
-        got = check_regularity(spec)
+        got = _checked(spec)
         assert len(got) == 5
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
