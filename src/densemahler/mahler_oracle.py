@@ -65,7 +65,7 @@ _GRADING_DEPTH = 8  # vol_integral_quadrature's refinement levels per edge
 _VOL_NODES = 64  # vol_integral_quadrature's Gauss nodes per graded panel
 _PANEL_NODES = 64  # m_oracle's default Gauss nodes per panel
 # Largest d of m_oracle and eta_path_integral, whose time grows like d^3:
-# 10 s at d = 120 (the README's timing table), hours at d = 1000.
+# 5 s at d = 120 (the README's timing table), nearly an hour at d = 1000.
 MAX_ORACLE_D = 120
 BRANCH_COLLISION_TOL = 1e-3
 

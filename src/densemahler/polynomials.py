@@ -89,14 +89,14 @@ def _points(spec: PdSpec, x, y, *kernels) -> tuple:
 
 def _pd(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # flat x and y: each slice row by Horner in y
-    return _polyval_batch(slice_coeff_matrix(spec, x), y[:, None])[:, 0]
+    return _horner(slice_coeff_matrix(spec, x).T, y[:, None])[:, 0]
 
 
 def _dp_dy(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # flat x and y: each slice row differentiated, then Horner in y
-    rows = slice_coeff_matrix(spec, x)
-    return _polyval_batch(rows[:, 1:] * np.arange(1, spec.d + 1),
-                          y[:, None])[:, 0]
+    rows = slice_coeff_matrix(spec, x).T
+    return _horner(rows[1:] * np.arange(1, spec.d + 1)[:, None],
+                   y[:, None])[:, 0]
 
 
 def _dp_dx(spec: PdSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -164,11 +164,16 @@ def slice_coeff_matrix(spec: PdSpec, x0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polyval_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # coeffs (B, D+1) ascending, z (B, R) -> values (B, R)
-    v = np.repeat(coeffs[:, -1][:, None], z.shape[1], axis=1)
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        v = v * z + coeffs[:, k][:, None]
+def _horner(rows: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
+    # rows (D+1, B), row k the y^k coefficients; z (B, R) -> (B, R), in out
+    v = np.empty(z.shape, dtype=complex) if out is None else out
+    v[...] = rows[-1][:, None]
+    for c in rows[-2::-1]:
+        if v.size > 1:
+            v *= z
+        else:  # numpy's in-place loop rounds a lone complex product apart
+            v[...] = v * z
+        v += c[:, None]
     return v
 
 
@@ -181,16 +186,15 @@ def aberth_roots_batch(coeffs: np.ndarray,
     with a fixed angular offset, or come from `initial` (shape (D,) or
     (B, D), e.g. the solved roots of a nearby polynomial); the iteration is
     simultaneous, deterministic, and stops when every correction falls below
-    ABERTH_NEWTON_TOL.  Memory is O(B * D) complex values plus one block of
-    pairwise root differences, max(D^2, 2^15) values at most; the roots do
-    not depend on the block size.
+    ABERTH_NEWTON_TOL.  Eight (B, D) buffers and one block of max(D^2, 2^15)
+    pairwise root differences are allocated once per call, none per sweep;
+    the roots do not depend on the block size.
 
     Raises ValueError on non-finite coeffs or initial, and RootFindingError
     after ABERTH_MAX_ITER sweeps (read at call time).
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-    n_poly, deg_p1 = coeffs.shape
-    deg = deg_p1 - 1
+    n_poly, deg = coeffs.shape[0], coeffs.shape[1] - 1
     if deg < 1:
         raise ValueError("degree must be >= 1")
     # a NaN correction never reaches ABERTH_NEWTON_TOL, so it would count as
@@ -201,51 +205,62 @@ def aberth_roots_batch(coeffs: np.ndarray,
     lead = coeffs[:, -1]
     if np.any(lead == 0):
         raise ValueError("leading coefficients must be nonzero")
-    monic = coeffs / lead[:, None]
-    deriv = monic[:, 1:] * np.arange(1, deg + 1)
-
     if initial is not None:
         out = np.array(np.broadcast_to(initial, (n_poly, deg)), dtype=complex)
     else:
         # Fujiwara root bound 2 * max_k |c_k|^(1/(deg-k)) as starting circle
-        mags = np.abs(monic[:, :-1])
+        mags = np.abs(coeffs[:, :-1] / lead[:, None])
         expo = 1.0 / (deg - np.arange(deg))
         radius = 2.0 * np.max(np.where(mags > 0.0, mags, 0.0) ** expo, axis=1)
         radius = np.maximum(radius, 1e-3)
         angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.3
         out = radius[:, None] * np.exp(1j * angles)[None, :]
 
-    idx = np.arange(deg)
+    # the n unconverged polynomials come first: their columns of rows (row
+    # k: the monic y^k coefficients) and drows (derivatives), rows of z;
+    # compress drops the entries past the end of still, converged earlier
+    rows = (coeffs / lead[:, None]).T.copy()
+    drows = rows[1:] * np.arange(1, deg + 1)[:, None]
+    z = out.copy()
+    p, dp, total = (np.empty((n_poly, deg), dtype=complex) for _ in range(3))
+    size = np.empty((n_poly, deg))
     block = max(1, _BLOCK_ELEMENTS // deg ** 2)
-    aberth_sum = np.empty((n_poly, deg), dtype=complex)
-    active = np.arange(n_poly)
+    pairs = np.empty((min(block, n_poly), deg, deg), dtype=complex)
+    active, n = np.arange(n_poly), n_poly
     for _ in range(ABERTH_MAX_ITER):
-        z = out[active]
-        p = _polyval_batch(monic[active], z)
-        dp = _polyval_batch(deriv[active], z)
-        # sum_{j != i} 1/(z_i - z_j), a block of rows at a time, so the
-        # pairwise temporary holds max(deg^2, _BLOCK_ELEMENTS) values at most
-        total = aberth_sum[:active.size]
-        for lo in range(0, active.size, block):
-            zb = z[lo:lo + block]
-            diff = zb[:, :, None] - zb[:, None, :]
-            diff[:, idx, idx] = np.inf
+        za, pa, dpa, ta = z[:n], p[:n], dp[:n], total[:n]
+        _horner(rows[:, :n], za, pa)
+        _horner(drows[:, :n], za, dpa)
+        # sum_{j != i} 1/(z_i - z_j), a block of rows of pairs at a time
+        for lo in range(0, n, block):
+            zb = za[lo:lo + block]
+            diff = np.subtract(zb[:, :, None], zb[:, None, :],
+                               out=pairs[:zb.shape[0]])
+            diff.reshape(zb.shape[0], -1)[:, ::deg + 1] = np.inf
             np.divide(1.0, diff, out=diff)
-            diff.sum(axis=2, out=total[lo:lo + block])
-        denom = dp - p * total
-        # stalled denominator: skip the update for that root this sweep
-        stalled = denom == 0
-        w = np.where(stalled, 0.0, p / np.where(stalled, 1.0, denom))
-        out[active] = z - w
+            diff.sum(axis=2, out=ta[lo:lo + block])
+        denom = np.subtract(dpa, np.multiply(pa, ta, out=ta), out=dpa)
+        if denom.all():
+            w = np.divide(pa, denom, out=pa)
+        else:  # stalled denominator: skip the update for that root this sweep
+            stalled = denom == 0
+            w = np.where(stalled, 0.0, pa / np.where(stalled, 1.0, denom))
+        za -= w
         # freeze converged rows; polynomials in a batch are independent
-        still = np.max(np.abs(w), axis=1) >= ABERTH_NEWTON_TOL
-        active = active[still]
-        if active.size == 0:
-            return out
-    worst = float(np.max(np.abs(_polyval_batch(monic[active], out[active]))))
+        still = np.abs(w, out=size[:n]).max(axis=1) >= ABERTH_NEWTON_TOL
+        if not still.all():
+            out[active] = za
+            active = active[still]
+            n = active.size
+            if n == 0:
+                return out
+            z[:n] = z.compress(still, axis=0)
+            rows[:, :n] = rows.compress(still, axis=1)
+            drows[:, :n] = drows.compress(still, axis=1)
+    worst = float(np.max(np.abs(_horner(rows[:, :n], z[:n]))))
     raise RootFindingError(
         f"Aberth iteration did not converge within {ABERTH_MAX_ITER} sweeps "
-        f"for {active.size} polynomial(s)", worst)
+        f"for {n} polynomial(s)", worst)
 
 
 def roots(coefficients) -> list:
@@ -275,7 +290,7 @@ def roots(coefficients) -> list:
         found.extend(aberth_roots_batch(core[None, :])[0].tolist())
 
     scale = 1.0 + float(np.max(np.abs(c)))
-    worst = float(np.max(np.abs(_polyval_batch(c[None, :], np.array([found])))))
+    worst = float(np.max(np.abs(_horner(c[:, None], np.array([found])))))
     if worst > ROOT_RESIDUAL_TOL * scale:
         raise RootFindingError("root residual above tolerance", worst)
     return found

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import same_bits
 from densemahler import mahler_oracle, polynomials
 from densemahler.limits import INTEGRAL
 from densemahler.mahler_closed import m_closed_aggregated, m_closed_volsum
@@ -21,6 +22,7 @@ from densemahler.polynomials import (PdSpec, aberth_roots_batch, roots,
                                      slice_coeff_matrix)
 from densemahler.toric import toric_indices
 from densemahler.volume import vol, vol_array
+from reference_aberth import aberth_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,6 +187,18 @@ def test_seeded_blocks_match_cold_solves():
     dist = np.abs(seeded[:, :, None] - cold[:, None, :])
     assert np.max(np.min(dist, axis=2)) <= 1e-10
     assert np.max(np.min(dist, axis=1)) <= 1e-10
+
+
+def test_oracle_has_the_reference_solver_bits(monkeypatch):
+    # the in-place Aberth sweep gives m_oracle the bits it has on the
+    # textbook sweep: value, panels and error estimate, d = 1 to 30
+    fast = [m_oracle(PdSpec(d)) for d in range(1, 31)]
+    monkeypatch.setattr(mahler_oracle, "aberth_roots_batch", aberth_reference)
+    for d, got in enumerate(fast, start=1):
+        want = m_oracle(PdSpec(d))
+        assert got.panels == want.panels, d
+        assert same_bits([got.value, got.error_estimate],
+                         np.array([want.value, want.error_estimate])), d
 
 
 def test_oracle_memory_stays_bounded_in_d():

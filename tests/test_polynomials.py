@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from densemahler.polynomials import (PdSpec, RootFindingError,
                                      eval_pd_array, eval_pd_rational,
                                      gauss_map, roots, slice_coeff_matrix)
 from densemahler.toric import toric_indices
+from reference_aberth import aberth_reference
 
 
 def test_eval_examples():
@@ -269,6 +271,100 @@ def test_evaluators_in_blocks_bits_and_memory(monkeypatch, rng):
     finally:
         tracemalloc.stop()
     assert x.size == 20_000 and peak <= 8 * 2**20
+
+
+def _solve_both(coeffs, initial=None):
+    # each solver's roots, or its RootFindingError's message and residual
+    found = []
+    for solve in (aberth_roots_batch, aberth_reference):
+        try:
+            found.append(solve(coeffs, initial=initial))
+        except RootFindingError as exc:
+            found.append((str(exc), exc.worst_residual))
+    return found
+
+
+def _same_outcome(got, want) -> bool:
+    if isinstance(want, tuple):
+        return (isinstance(got, tuple) and got[0] == want[0]
+                and same_bits(got[1], np.float64(want[1])))
+    return isinstance(got, np.ndarray) and same_bits(got, want)
+
+
+def test_aberth_has_the_reference_bits(rng):
+    # the in-place sweep runs the textbook sweep's operations in order:
+    # cold and warm starts at degrees 1 to 31, and random polynomials
+    for deg in range(1, 32):
+        x0 = rng.uniform(0.5, 1.5, 40) * np.exp(1j * rng.uniform(0, 7, 40))
+        coeffs = slice_coeff_matrix(PdSpec(deg), x0)
+        cold, want = _solve_both(coeffs)
+        assert same_bits(cold, want), deg
+        for initial in (cold[0], cold[::-1]):
+            got, want = _solve_both(1.01 * coeffs, initial)
+            assert same_bits(got, want), deg
+        noisy = rng.normal(size=(24, deg + 1)) + 1j * rng.normal(
+            size=(24, deg + 1))
+        assert _same_outcome(*_solve_both(noisy)), deg
+
+
+def test_aberth_reference_bits_across_blocks_and_convergence(monkeypatch,
+                                                              rng):
+    # rows started 1e-12 to 1e-1 away from their roots converge on different
+    # sweeps: after two sweeps some but not all are still running, and at
+    # every sweep cap both solvers agree on the roots or on the failure,
+    # with pairwise blocks of 1 and 3 rows and the default, the whole batch
+    d = 12
+    x0 = 0.9 * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 11))
+    coeffs = slice_coeff_matrix(PdSpec(d), x0)
+    solved = aberth_roots_batch(coeffs)
+    initial = solved + np.logspace(-12, -1, 11)[:, None] * np.exp(
+        1j * rng.uniform(0.0, 2 * np.pi, (11, d)))
+    monkeypatch.setattr(polynomials, "ABERTH_MAX_ITER", 2)
+    message = _solve_both(coeffs, initial)[1][0]
+    assert re.search(r"for ([2-9]|10) polynomial", message)
+    for rows in (1, 3, 2**15 // d ** 2):
+        monkeypatch.setattr(polynomials, "_BLOCK_ELEMENTS", rows * d * d)
+        for cap in (1, 2, 3, 5, 200):
+            monkeypatch.setattr(polynomials, "ABERTH_MAX_ITER", cap)
+            assert _same_outcome(*_solve_both(coeffs, initial)), (rows, cap)
+
+
+def test_aberth_stalled_denominator_has_the_reference_bits(monkeypatch, rng):
+    # (y - 1)^2 (y + 1) vanishes with its derivative at y = 1 exactly, so a
+    # root started there has a zero denominator and stalls on every sweep,
+    # while the other rows of the batch take the update
+    stalled = np.array([1.0, -1.0, -1.0, 1.0], dtype=complex)
+    assert stalled.sum() == 0 and (stalled[1:] * [1, 2, 3]).sum() == 0
+    coeffs = np.vstack([stalled, rng.normal(size=(4, 4))]).astype(complex)
+    initial = np.array([1.0, 0.5j, -2.0]) + np.vstack(
+        [np.zeros(3), rng.normal(size=(4, 3))])
+    for cap in (1, 2, 3, 200):
+        monkeypatch.setattr(polynomials, "ABERTH_MAX_ITER", cap)
+        got, want = _solve_both(coeffs, initial)
+        assert _same_outcome(got, want), cap
+    assert got[0, 0] == 1.0 and abs(got[0, 1] - 1.0) < 1e-8
+    # at 0 and -1, y^2 + y + 1 is 1 and its derivative p * sum 1/(z_i - z_j)
+    # exactly: both denominators vanish with p != 0, so neither root moves
+    # and a correction of 0 counts as converged
+    got, want = _solve_both(np.array([[1.0, 1.0, 1.0]], dtype=complex),
+                            np.array([0.0, -1.0]))
+    assert _same_outcome(got, want) and same_bits([[0.0, -1.0]], got)
+
+
+def test_aberth_warm_solve_memory():
+    # a warm solve of the oracle's batch at d = 30 holds its buffers once:
+    # no sweep gathers the active rows or allocates batch-sized temporaries
+    coeffs = slice_coeff_matrix(PdSpec(30),
+                                np.exp(1j * np.linspace(0.1, 0.5, 1536)))
+    warm = aberth_roots_batch(coeffs[:1])[0]
+    tracemalloc.start()
+    try:
+        found = aberth_roots_batch(coeffs, initial=warm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coeffs.shape == (1536, 31) and peak <= 8 * 2**20
+    assert np.all(np.isfinite(found))
 
 
 def test_aberth_rejects_degenerate(monkeypatch):
