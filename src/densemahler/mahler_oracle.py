@@ -48,6 +48,7 @@ edges, where vol has t*log(t) behavior; it must reproduce 6 pi zeta(3).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,7 +60,7 @@ from .polynomials import (_BLOCK_ELEMENTS, PdSpec, RootFindingError,
 from .specfun import _CL2_BLOCK, TWO_PI
 from .volume import vol_array, volume_v
 
-_BATCH_LIMIT = 1536  # slices per Aberth call for d <= 30; fewer above
+_BATCH_LIMIT = 1536  # seeds per Aberth call for d <= 30; fewer above
 _SEED_STRIDE = 12  # angles per warm-start seed: near enough for few sweeps
 _GRADING_DEPTH = 8  # vol_integral_quadrature's refinement levels per edge
 _VOL_NODES = 64  # vol_integral_quadrature's Gauss nodes per graded panel
@@ -122,6 +123,12 @@ def _solve_slices(coeffs: np.ndarray, initial, thetas: np.ndarray) -> np.ndarray
                           f"{thetas[-1]:.6f}]") from exc
 
 
+def _block_rows(d: int) -> tuple:
+    # rows per Aberth call of _slice_root_blocks' seed pass and slice pass
+    seeds = max(1, min(_BATCH_LIMIT, _BATCH_LIMIT * 900 // d ** 2))
+    return seeds, max(1, min(seeds, _BLOCK_ELEMENTS // (d + 1)))
+
+
 def _slice_root_blocks(spec: PdSpec, x0: np.ndarray, thetas: np.ndarray):
     """Roots of the slices at x0 (taken at angles thetas), block by block.
 
@@ -130,14 +137,20 @@ def _slice_root_blocks(spec: PdSpec, x0: np.ndarray, thetas: np.ndarray):
     block starts from the last seed before it.  Every slice then starts from
     the roots of its nearest seed.  A failure raises OracleError naming the
     angle range of its block.  Each block builds only its own rows of slice
-    coefficients.  Above d = 30 the rows per block shrink like 1/d^2: the
-    block bounds decide which seed warm-starts each block of seeds, so the
-    rule is part of the oracle's bits (1536 rows at every d moves the error
-    estimate at d = 80 to 120), and its smaller blocks of roots and
-    coefficients halve the oracle's max RSS at d = 100 (37 MB against 74 MB
-    with 1536 rows at every d).
+    coefficients.
+
+    The two passes bound their blocks differently.  The seed blocks hold
+    _BATCH_LIMIT rows up to d = 30 and shrink like 1/d^2 above: their bounds
+    decide which seed warm-starts each block of seeds, so this rule is part
+    of the oracle's bits once there are more seeds than rows (1536 rows at
+    every d moves the error estimate at d = 80 to 120).  The slice blocks
+    take no warm start from each other and the rows of an Aberth batch are
+    independent, so their bounds do not touch the bits.  They hold at most
+    _BLOCK_ELEMENTS slice coefficients and no more rows than a seed block,
+    so the pass's Aberth buffers stay near one size at every d, where the
+    seed rule alone made them largest at d = 30 (1536 rows of 31).
     """
-    rows = max(1, min(_BATCH_LIMIT, _BATCH_LIMIT * 900 // spec.d ** 2))
+    rows, slices = _block_rows(spec.d)
     seed_x0, seed_thetas = x0[::_SEED_STRIDE], thetas[::_SEED_STRIDE]
     seeds = np.empty((seed_thetas.size, spec.d), dtype=complex)
     warm = _solve_slices(slice_coeff_matrix(spec, x0[:1]), None, thetas[:1])[0]
@@ -148,8 +161,8 @@ def _slice_root_blocks(spec: PdSpec, x0: np.ndarray, thetas: np.ndarray):
         warm = seeds[hi - 1]
     nearest = np.minimum((np.arange(thetas.size) + _SEED_STRIDE // 2)
                          // _SEED_STRIDE, seeds.shape[0] - 1)
-    for lo in range(0, thetas.size, rows):
-        hi = min(lo + rows, thetas.size)
+    for lo in range(0, thetas.size, slices):
+        hi = min(lo + slices, thetas.size)
         yield lo, hi, _solve_slices(slice_coeff_matrix(spec, x0[lo:hi]),
                                     seeds[nearest[lo:hi]], thetas[lo:hi])
 
@@ -163,12 +176,29 @@ def _jensen_values(spec: PdSpec, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _panel_error(vals: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Error estimate of the Gauss rule (x, w) on each row of vals, on [-1, 1].
+@functools.cache
+def _gauss_rule(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule on [-1, 1], built once per n.
 
-    A row holds f at the n nodes.  The same weighted sums give the Legendre
-    coefficients a_k = (2k+1)/2 sum_i w_i f(x_i) P_k(x_i), k < n, of the
-    interpolant.  Their envelope e_k = max_{j >= k} |a_j| decays like r^k,
+    Returns read-only nodes x, weights w and _panel_error's matrix
+    w_i P_k(x_i) (2k+1)/2, shape (n, n).  numpy.polynomial is imported here,
+    at the first call, and not with the package: a module-level import of
+    it slowed the oracle's benchmark by about 6%.
+    """
+    legendre = np.polynomial.legendre
+    x, w = legendre.leggauss(n)
+    weighted = w[:, None] * legendre.legvander(x, n - 1) * (np.arange(n) + 0.5)
+    for a in (x, w, weighted):
+        a.setflags(write=False)
+    return x, w, weighted
+
+
+def _panel_error(vals: np.ndarray) -> np.ndarray:
+    """Error estimate of the n-node Gauss rule on each row of vals, on [-1, 1].
+
+    A row holds f at the n nodes x_i of _gauss_rule(n), with weights w_i.
+    The same weighted sums give the Legendre coefficients
+    a_k = (2k+1)/2 sum_i w_i f(x_i) P_k(x_i), k < n, of the interpolant.  Their envelope e_k = max_{j >= k} |a_j| decays like r^k,
     with r fitted between k = (n - 1) // 2 and n - 1.  The rule is exact to
     degree 2n - 1, and its weights sum to 2 while |P_k| <= 1, so its error
     is about twice the coefficient of degree 2n: e_{n-1} is extrapolated
@@ -176,12 +206,10 @@ def _panel_error(vals: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     still steepening.  The floor 2 n eps max|f| bounds the rounding of the
     weighted sum.
     """
-    n = x.size
-    vander = np.polynomial.legendre.legvander(x, n - 1)
+    n = vals.shape[1]
     # einsum's own loop, not a BLAS gemm: at these sizes it is as fast, and
     # gemm's packing buffers add about 1 MB of resident memory
-    coeffs = np.einsum("pi,ik->pk", vals, w[:, None] * vander
-                       * (np.arange(n) + 0.5))
+    coeffs = np.einsum("pi,ik->pk", vals, _gauss_rule(n)[2])
     env = np.maximum.accumulate(np.abs(coeffs)[:, ::-1], axis=1)[:, ::-1]
     k_mid = (n - 1) // 2
     e_mid, e_last = env[:, k_mid], env[:, n - 1]
@@ -232,13 +260,13 @@ def m_oracle(spec: PdSpec, cfg: QuadratureConfig | None = None) -> OracleResult:
     _require_oracle_d(spec.d)
     if cfg is None:
         cfg = default_config(spec)
-    x, w = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
+    x, w, _ = _gauss_rule(cfg.nodes_per_panel)
     thetas, half = _gauss_panels(_panel_breaks(spec.d), x)
     vals = _jensen_values(spec, thetas.ravel()).reshape(thetas.shape)
     return OracleResult(
         value=float(np.sum(half * (vals @ w))) / math.pi,
         panels=half.size,
-        error_estimate=float(np.sum(half * _panel_error(vals, x, w)
+        error_estimate=float(np.sum(half * _panel_error(vals)
                                     / math.pi)),
     )
 
@@ -377,7 +405,7 @@ def _graded_unit_rule(nodes: int, depth: int) -> tuple:
     # composite Gauss-Legendre on [0, 1] with panels geometrically refined
     # toward both endpoints, where the integrands behave like t*log(t)
     breaks = [0.0] + [2.0 ** -q for q in range(depth, 0, -1)]
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w, _ = _gauss_rule(nodes)
     pts, half = _gauss_panels(breaks, x)
     pts, wts = pts.ravel(), (half[:, None] * w).ravel()
     return (np.concatenate([pts, 1.0 - pts[::-1]]),

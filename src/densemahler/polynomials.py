@@ -34,10 +34,11 @@ RATIONAL_FORM_EXCLUSION = 0.1
 ABERTH_MAX_ITER = 200
 ABERTH_NEWTON_TOL = 1e-13
 ROOT_RESIDUAL_TOL = 1e-10
-# complex values per block of the Aberth pairwise sums and of the
-# evaluators' slice rows: 512 KB, so the temporaries stay cache-sized at every
-# d; 2^13 to 2^17 time alike for m_oracle at d = 10 to 120 (2 vCPUs)
-_BLOCK_ELEMENTS = 2**15
+# complex values per block of the Aberth pairwise sums, of the evaluators'
+# slice rows and of the oracle's slice blocks: 256 KB, so the temporaries
+# stay cache-sized at every d; 2^13 to 2^17 time alike for m_oracle at
+# d = 10 to 120 (2 vCPUs)
+_BLOCK_ELEMENTS = 2**14
 
 
 class RootFindingError(ArithmeticError):
@@ -186,7 +187,7 @@ def aberth_roots_batch(coeffs: np.ndarray,
     with a fixed angular offset, or come from `initial` (shape (D,) or
     (B, D), e.g. the solved roots of a nearby polynomial); the iteration is
     simultaneous, deterministic, and stops when every correction falls below
-    ABERTH_NEWTON_TOL.  Eight (B, D) buffers and one block of max(D^2, 2^15)
+    ABERTH_NEWTON_TOL.  Eight (B, D) buffers and one block of max(D^2, 2^14)
     pairwise root differences are allocated once per call, none per sweep;
     the roots do not depend on the block size.
 

@@ -145,6 +145,23 @@ def test_report_vol_grid(capsys):
     assert min(vals) >= -1e-12
 
 
+def test_vol_grid_blocks_have_the_whole_grid_bytes(monkeypatch, capsys):
+    # 3 i-rows per block at --grid-n 40: every row of the grid evaluated in
+    # one vol_array call, formatted the same way
+    from densemahler import cli
+
+    m = 40
+    i, j = np.nonzero(np.tri(m + 1, dtype=bool)[::-1])
+    step = 2.0 * np.pi / m
+    theta, alpha = i * step, j * step
+    want = ["theta,alpha,vol"] + [
+        ",".join(format(x, ".15g") for x in row)
+        for row in zip(theta, alpha, cli.vol_array(theta, alpha))]
+    monkeypatch.setattr(cli, "_CL2_BLOCK", 3 * (m + 1))
+    assert run_cli(["report", "vol-grid", "--grid-n", str(m)]) == 0
+    assert capsys.readouterr().out.splitlines() == want
+
+
 def test_report_limit(capsys):
     assert run_cli(["report", "limit", "--d", "10,100,1000"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -250,7 +267,8 @@ def test_quadratic_routes_refuse_large_d(capsys):
 
 
 def test_vol_grid_refuses_large_grid_n(capsys):
-    # the grid has (m+1)(m+2)/2 points; 60000 would ask for gigabytes
+    # the grid has (m+1)(m+2)/2 points, 1.8 billion at 60000: the cap
+    # bounds the time, and the refusal comes before any work
     import densemahler.cli  # noqa: F401  (imports are not the subject)
 
     tracemalloc.start()
@@ -508,31 +526,50 @@ def test_entry_point_subprocess():
     assert "0.323065947219" in proc.stdout
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
-def test_report_toric_memory_at_max_quadratic_d(tmp_path):
-    # the largest d report toric takes: its 2 million rows stream out block
-    # by block, so the whole process stays near the interpreter and numpy
-    # (37 MB), where the table of every point took 121 MB.  The child reads
-    # the peak of its own address space, VmHWM: its ru_maxrss, even
+def _peak_kib_of(argv: list) -> int:
+    # runs cli.main(argv) in a child, asserts exit 0 and returns the peak of
+    # the child's own address space, VmHWM: its ru_maxrss, even
     # RUSAGE_SELF, counts this test process's RSS at the spawn
-    out = tmp_path / "toric.csv"
     run = ("import sys\n"
            "from densemahler.cli import main\n"
            "code = main(sys.argv[1:])\n"
            "with open('/proc/self/status') as fh:\n"
            "    hwm = next(x for x in fh if x.startswith('VmHWM:'))\n"
            "print(code, hwm.split()[1])\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", run, "report", "toric", "--d", "1000",
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=120, env=_child_env())
+    proc = subprocess.run([sys.executable, "-c", run, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0
-    assert peak_kib <= 64 * 2**10
+    return peak_kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_report_toric_memory_at_max_quadratic_d(tmp_path):
+    # the largest d report toric takes: its 2 million rows stream out block
+    # by block, so the whole process stays near the interpreter and numpy
+    # (37 MB), where the table of every point took 121 MB
+    out = tmp_path / "toric.csv"
+    assert _peak_kib_of(["report", "toric", "--d", "1000", "--out",
+                         str(out)]) <= 64 * 2**10
     with out.open("rb") as fh:
         fh.seek(-64, os.SEEK_END)
         assert fh.read().splitlines()[-1].startswith(b"1002,1001,1000,-1,")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_report_vol_grid_memory_at_max_grid_n(tmp_path):
+    # the largest --grid-n: its half a million points stream out in blocks
+    # of i-rows, where the whole grid's arrays and rows took 110 MB
+    out = tmp_path / "vol-grid.csv"
+    assert _peak_kib_of(["report", "vol-grid", "--grid-n", "1000", "--out",
+                         str(out)]) <= 64 * 2**10
+    with out.open("rb") as fh:
+        fh.seek(-64, os.SEEK_END)
+        last = fh.read().splitlines()[-1]
+    theta = format(1000 * (2.0 * np.pi / 1000), ".15g")
+    assert last.startswith(f"{theta},0,".encode())
 
 
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -215,12 +215,42 @@ def test_oracle_memory_stays_bounded_in_d():
     assert abs(res.value - m_closed_aggregated(PdSpec(60)).value) <= 1e-9
 
 
+def test_oracle_peak_memory_at_d30():
+    # d = 30 is the last d with 1536 seed rows; slice blocks of at most
+    # _BLOCK_ELEMENTS coefficients (528 rows) keep its peak near 3.3 MiB,
+    # where 1536-row slice blocks peaked at 8.7 MiB
+    tracemalloc.start()
+    try:
+        m_oracle(PdSpec(30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
+
+
+@pytest.mark.parametrize("d", [8, 30, 64])
+def test_slice_block_bound_does_not_touch_the_bits(monkeypatch, d):
+    # every slice starts from its own nearest seed and the rows of an Aberth
+    # batch are independent, so one slice per call and every angle in one
+    # call give the bits of the default blocks; d = 64 has more seeds than
+    # seed rows, so the seed pass crosses a block boundary too
+    want = m_oracle(PdSpec(d))
+    seed_rows = mahler_oracle._block_rows(d)[0]
+    for slices in (1, 10**9):
+        monkeypatch.setattr(mahler_oracle, "_block_rows",
+                            lambda d, slices=slices: (seed_rows, slices))
+        got = m_oracle(PdSpec(d))
+        assert got.panels == want.panels, (d, slices)
+        assert same_bits([got.value, got.error_estimate],
+                         np.array([want.value, want.error_estimate])), slices
+
+
 def test_slice_coefficients_built_block_by_block(monkeypatch):
     # each Aberth block builds only its own rows of slice coefficients, so
     # no call holds every angle's d + 1 coefficients at once: one cold row,
     # then the seeds and the angles, at most one block per call
     spec = PdSpec(40)
-    block = mahler_oracle._BATCH_LIMIT * 900 // spec.d ** 2  # 864 rows
+    block = mahler_oracle._BLOCK_ELEMENTS // (spec.d + 1)  # 399 rows
     original = mahler_oracle.slice_coeff_matrix
     rows = []
 
