@@ -255,6 +255,8 @@ def m_oracle(spec: PdSpec, cfg: QuadratureConfig | None = None) -> OracleResult:
     Gauss-Legendre nodes (default_config when cfg is None).  The integrand
     is evaluated once, at those nodes, and the error estimate is read from
     the same values, panel by panel (_panel_error; reported, not proven).
+    The weighted sums are numpy's pairwise sums, not a BLAS product, whose
+    kernel, and so whose rounding, depends on the CPU.
     d > MAX_ORACLE_D raises a ValueError.
     """
     _require_oracle_d(spec.d)
@@ -264,7 +266,7 @@ def m_oracle(spec: PdSpec, cfg: QuadratureConfig | None = None) -> OracleResult:
     thetas, half = _gauss_panels(_panel_breaks(spec.d), x)
     vals = _jensen_values(spec, thetas.ravel()).reshape(thetas.shape)
     return OracleResult(
-        value=float(np.sum(half * (vals @ w))) / math.pi,
+        value=float(np.sum(half * np.sum(vals * w, axis=1))) / math.pi,
         panels=half.size,
         error_estimate=float(np.sum(half * _panel_error(vals)
                                     / math.pi)),
@@ -419,10 +421,11 @@ def vol_integral_quadrature() -> float:
     [0, 2*pi - alpha], both with the graded composite Gauss rule of
     _VOL_NODES nodes per panel.  The tensor grid is evaluated and reduced
     a block of alpha rows at a time, at most one Clausen kernel block of
-    points (32 of 1024 rows), so memory stays O(block) and no matrix-vector
-    product is large enough to start BLAS threads; vol_array works
-    elementwise and each row's dot product is unchanged, so the value has
-    the bits of the whole grid in one pass.
+    points (32 of 1024 rows), so memory stays O(block).  Every weighted sum
+    is numpy's pairwise sum, not a BLAS product, whose kernel, and so whose
+    rounding, depends on the CPU; vol_array works elementwise and each row
+    is summed alone, so the value has the bits of the whole grid in one
+    pass.
     """
     u, wu = _graded_unit_rule(_VOL_NODES, _GRADING_DEPTH)
     alpha = TWO_PI * u
@@ -433,6 +436,7 @@ def vol_integral_quadrature() -> float:
     for lo in range(0, u.size, rows):
         block = slice(lo, lo + rows)
         theta = length[block, None] * u
-        inner[block] = vol_array(theta, alpha[block, None]) @ wu
+        inner[block] = np.sum(vol_array(theta, alpha[block, None]) * wu,
+                              axis=1)
     inner *= length
-    return float(w_alpha @ inner)
+    return float(np.sum(w_alpha * inner))

@@ -572,17 +572,25 @@ def test_report_vol_grid_memory_at_max_grid_n(tmp_path):
     assert last.startswith(f"{theta},0,".encode())
 
 
-def test_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # a BLAS dot splits its sum by thread count; the closed routes' sums
-    # and the quadrature's matrix-vector products must not, or the digits
-    # after the cancellation at large d move.
-    # numpy reads OPENBLAS_NUM_THREADS once, at import, so one child per
-    # setting runs every command and prints each one's exit code after it
+def _stdout_of_each(commands: list, **env) -> bytes:
+    # numpy reads the BLAS settings once, at import, so one child per
+    # setting runs cli.main on every argv and prints its exit code after it
     run_each = ("import json, sys\n"
                 "from densemahler.cli import main\n"
                 "for argv in json.loads(sys.argv[1]):\n"
                 "    print(f'exit {main(argv)}', flush=True)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", run_each, json.dumps(commands)],
+        capture_output=True, timeout=120, env=_child_env(**env))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(b"exit 0\n") == len(commands), proc.stdout
+    return proc.stdout
 
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a BLAS dot splits its sum by thread count; the closed routes' sums
+    # and the quadrature's weighted sums must not, or the digits after the
+    # cancellation at large d move
     def outputs(threads):
         csv = tmp_path / f"limit-{threads}.csv"
         quad = tmp_path / f"vol-integral-{threads}.csv"
@@ -591,15 +599,33 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
                     ["report", "limit", "--d", "100000,1000000",
                      "--out", str(csv)],
                     ["report", "vol-integral", "--out", str(quad)]]
-        proc = subprocess.run(
-            [sys.executable, "-c", run_each, json.dumps(commands)],
-            capture_output=True, timeout=120,
-            env=_child_env(OPENBLAS_NUM_THREADS=threads))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count(b"exit 0\n") == len(commands), proc.stdout
-        return proc.stdout, csv.read_bytes(), quad.read_bytes()
+        out = _stdout_of_each(commands, OPENBLAS_NUM_THREADS=threads)
+        return out, csv.read_bytes(), quad.read_bytes()
 
     assert outputs("1") == outputs("2")
+
+
+def _cpu_has_avx2() -> bool:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return any(line.startswith("flags") and " avx2" in line
+                       for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _cpu_has_avx2(), reason="needs an x86-64 CPU "
+                    "with AVX2 for the forced OpenBLAS kernels")
+def test_bytes_do_not_depend_on_blas_kernel():
+    # OpenBLAS picks its kernel by CPU, and the kernels round a dot product
+    # apart; OPENBLAS_CORETYPE forces one.  The quadratures' weighted sums
+    # are numpy's own, so the gap of 6 pi zeta(3) and every oracle column
+    # keep their bytes under each kernel
+    commands = [["report", "vol-integral"],
+                ["sweep", "--from", "1", "--to", "12", "--oracle-up-to", "12"]]
+    default = _stdout_of_each(commands)
+    for core in ("Haswell", "Nehalem"):
+        assert _stdout_of_each(commands, OPENBLAS_CORETYPE=core) == default, core
 
 
 def test_fifteen_significant_digits(capsys):

@@ -501,8 +501,8 @@ def test_arc_validation():
 
 
 def _vol_integral_whole_grid():
-    # the quadrature on the whole tensor grid at once, with one
-    # matrix-vector product: the value the row blocks must keep
+    # the quadrature on the whole tensor grid at once, with the same
+    # pairwise sums: the value the row blocks must keep
     u, wu = mahler_oracle._graded_unit_rule(mahler_oracle._VOL_NODES,
                                             mahler_oracle._GRADING_DEPTH)
     alpha = TWO_PI * u
@@ -510,8 +510,8 @@ def _vol_integral_whole_grid():
     length = TWO_PI - alpha
     theta = length[:, None] * u[None, :]
     vals = vol_array(theta, alpha[:, None])
-    inner = length * (vals @ wu)
-    return float(w_alpha @ inner)
+    inner = length * np.sum(vals * wu, axis=1)
+    return float(np.sum(w_alpha * inner))
 
 
 def test_vol_integral_quadrature_in_row_blocks(monkeypatch):
