@@ -198,12 +198,13 @@ def _panel_error(vals: np.ndarray) -> np.ndarray:
 
     A row holds f at the n nodes x_i of _gauss_rule(n), with weights w_i.
     The same weighted sums give the Legendre coefficients
-    a_k = (2k+1)/2 sum_i w_i f(x_i) P_k(x_i), k < n, of the interpolant.  Their envelope e_k = max_{j >= k} |a_j| decays like r^k,
-    with r fitted between k = (n - 1) // 2 and n - 1.  The rule is exact to
-    degree 2n - 1, and its weights sum to 2 while |P_k| <= 1, so its error
-    is about twice the coefficient of degree 2n: e_{n-1} is extrapolated
-    n + 1 degrees at the half rate sqrt(r), which also covers an envelope
-    still steepening.  The floor 2 n eps max|f| bounds the rounding of the
+    a_k = (2k+1)/2 sum_i w_i f(x_i) P_k(x_i), k < n, of the interpolant.
+    Their envelope e_k = max_{j >= k} |a_j| decays like r^k, with r fitted
+    between k = (n - 1) // 2 and n - 1.  The rule is exact to degree
+    2n - 1, and its weights sum to 2 while |P_k| <= 1, so its error is
+    about twice the coefficient of degree 2n: e_{n-1} is extrapolated n + 1
+    degrees at the half rate sqrt(r), which also covers an envelope still
+    steepening.  The floor 2 n eps max|f| bounds the rounding of the
     weighted sum.
     """
     n = vals.shape[1]

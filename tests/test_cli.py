@@ -625,7 +625,8 @@ def test_bytes_do_not_depend_on_blas_kernel():
                 ["sweep", "--from", "1", "--to", "12", "--oracle-up-to", "12"]]
     default = _stdout_of_each(commands)
     for core in ("Haswell", "Nehalem"):
-        assert _stdout_of_each(commands, OPENBLAS_CORETYPE=core) == default, core
+        got = _stdout_of_each(commands, OPENBLAS_CORETYPE=core)
+        assert got == default, core
 
 
 def test_fifteen_significant_digits(capsys):
