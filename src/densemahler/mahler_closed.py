@@ -60,13 +60,10 @@ import numpy as np
 
 from .mahler_oracle import m_oracle  # the oracle row of ROUTES
 from .polynomials import PdSpec, _require_order
-from .specfun import CL2_ERROR_BOUND, TWO_PI, _thread_blocks, cl2_array
+from .specfun import (_CL2_BLOCK, CL2_ERROR_BOUND, TWO_PI, _thread_blocks,
+                      cl2_array)
 from .toric import _require_quadratic_d, diagonal_sign, toric_blocks
 from .volume import vol_array
-
-# angles per cl2_array call in grid_weight_sum: one kernel block, so each
-# chunk's grid, weights and Clausen values stay in cache
-_GRID_CHUNK = 1 << 15
 
 # each thread's two buffers of grid_weight_sum, kept between calls
 _grid_scratch = threading.local()
@@ -94,19 +91,20 @@ class MahlerEstimate:
 def grid_weight_sum(n: int) -> float:
     """W(n) = sum_{j=1}^{n-1} (2n - 3j - 1) Cl2(2 pi j / n), O(n) Clausen calls.
 
-    n must be an integer >= 2.  The angles go to cl2_array _GRID_CHUNK at a
-    time, one kernel block, so memory stays bounded at any n and each chunk
-    stays in cache; the chunk sums are added with math.fsum.  j and the
-    angles, then the weights, live in two buffers that the calling thread
-    keeps, as the kernel keeps its scratch: allocated per call, they went
-    back to the OS at its end and the next call faulted them in again.  j
-    advances in place by the chunk (exact integers), and the in-place steps
-    round exactly as 2 pi j / n and (2n - 3j - 1) do.  The weighting is a
-    single-threaded numpy pairwise sum of weight * Cl2, never a BLAS dot,
-    so its bits do not depend on the machine's thread count.
+    n must be an integer >= 2.  The angles go to cl2_array _CL2_BLOCK at a
+    time, one kernel block, so memory stays bounded at any n and each
+    chunk's grid, weights and Clausen values stay in cache; the chunk sums
+    are added with math.fsum.  j and the angles, then the weights, live in
+    two buffers that the calling thread keeps, as the kernel keeps its
+    scratch: allocated per call, they went back to the OS at its end and
+    the next call faulted them in again.  j advances in place by the chunk
+    (exact integers), and the in-place steps round exactly as 2 pi j / n
+    and (2n - 3j - 1) do.  The weighting is a single-threaded numpy
+    pairwise sum of weight * Cl2, never a BLAS dot, so its bits do not
+    depend on the machine's thread count.
     """
     _require_order(n, 2, "n")
-    size = min(_GRID_CHUNK, n - 1)
+    size = min(_CL2_BLOCK, n - 1)
     j, w = _thread_blocks(_grid_scratch, size)
     np.copyto(j, np.arange(1.0, size + 1.0))
 

@@ -20,9 +20,9 @@ per-panel estimates are summed; it is an empirical estimate, not a proven
 bound, checked against mpmath and the closed route in the tests.
 
 The slices are solved by Aberth iteration warm-started from nearby solved
-roots: every _SEED_STRIDE-th angle is a seed, the seeds are solved as a
-batch started from one cold solve, and every angle then starts from the
-roots of its nearest seed, at most _SEED_STRIDE/2 angles away.
+roots: every _SEED_STRIDE-th angle is a seed, every seed starts from the
+roots of one cold solve, and every angle then starts from the roots of its
+nearest seed, at most _SEED_STRIDE/2 angles away.
 
 primitive_check integrates the curve one-form
 
@@ -60,7 +60,6 @@ from .polynomials import (_BLOCK_ELEMENTS, PdSpec, RootFindingError,
 from .specfun import _CL2_BLOCK, TWO_PI
 from .volume import vol_array, volume_v
 
-_BATCH_LIMIT = 1536  # seeds per Aberth call for d <= 30; fewer above
 _SEED_STRIDE = 12  # angles per warm-start seed: near enough for few sweeps
 _GRADING_DEPTH = 8  # vol_integral_quadrature's refinement levels per edge
 _VOL_NODES = 64  # vol_integral_quadrature's Gauss nodes per graded panel
@@ -114,57 +113,42 @@ def _panel_breaks(d: int) -> list:
     return [0.0, *sorted(kinks), math.pi]
 
 
-def _solve_slices(coeffs: np.ndarray, initial, thetas: np.ndarray) -> np.ndarray:
-    # one Aberth batch; a failure names the angle range of the batch
-    try:
-        return aberth_roots_batch(coeffs, initial=initial)
-    except RootFindingError as exc:
-        raise OracleError(f"root finding failed in [{thetas[0]:.6f}, "
-                          f"{thetas[-1]:.6f}]") from exc
-
-
-def _block_rows(d: int) -> tuple:
-    # rows per Aberth call of _slice_root_blocks' seed pass and slice pass
-    seeds = max(1, min(_BATCH_LIMIT, _BATCH_LIMIT * 900 // d ** 2))
-    return seeds, max(1, min(seeds, _BLOCK_ELEMENTS // (d + 1)))
+def _solve_blocks(spec: PdSpec, x0: np.ndarray, thetas: np.ndarray, start):
+    # Aberth on the slices at x0 (angles thetas), at most _BLOCK_ELEMENTS
+    # slice coefficients per call, each block started from start(lo, hi);
+    # yields (lo, hi, roots) and a failure names the block's angle range
+    rows = max(1, _BLOCK_ELEMENTS // (spec.d + 1))
+    for lo in range(0, thetas.size, rows):
+        hi = min(lo + rows, thetas.size)
+        try:
+            rts = aberth_roots_batch(slice_coeff_matrix(spec, x0[lo:hi]),
+                                     initial=start(lo, hi))
+        except RootFindingError as exc:
+            raise OracleError(f"root finding failed in [{thetas[lo]:.6f}, "
+                              f"{thetas[hi - 1]:.6f}]") from exc
+        yield lo, hi, rts
 
 
 def _slice_root_blocks(spec: PdSpec, x0: np.ndarray, thetas: np.ndarray):
     """Roots of the slices at x0 (taken at angles thetas), block by block.
 
-    Yields (lo, hi, roots of slices lo..hi-1).  Every _SEED_STRIDE-th slice
-    is a seed; one cold solve starts the first block of seeds and each later
-    block starts from the last seed before it.  Every slice then starts from
-    the roots of its nearest seed.  A failure raises OracleError naming the
-    angle range of its block.  Each block builds only its own rows of slice
-    coefficients.
-
-    The two passes bound their blocks differently.  The seed blocks hold
-    _BATCH_LIMIT rows up to d = 30 and shrink like 1/d^2 above: their bounds
-    decide which seed warm-starts each block of seeds, so this rule is part
-    of the oracle's bits once there are more seeds than rows (1536 rows at
-    every d moves the error estimate at d = 80 to 120).  The slice blocks
-    take no warm start from each other and the rows of an Aberth batch are
-    independent, so their bounds do not touch the bits.  They hold at most
-    _BLOCK_ELEMENTS slice coefficients and no more rows than a seed block,
-    so the pass's Aberth buffers stay near one size at every d, where the
-    seed rule alone made them largest at d = 30 (1536 rows of 31).
+    Yields (lo, hi, roots of slices lo..hi-1).  The first slice is solved
+    cold; every _SEED_STRIDE-th slice is a seed started from its roots, and
+    every slice then starts from the roots of its nearest seed.  Each block
+    holds at most _BLOCK_ELEMENTS slice coefficients and builds only its
+    own rows; a failure raises OracleError naming the block's angle range.
+    The rows of an Aberth batch are independent and no block starts from
+    another block's roots, so the block bound does not touch the bits.
     """
-    rows, slices = _block_rows(spec.d)
-    seed_x0, seed_thetas = x0[::_SEED_STRIDE], thetas[::_SEED_STRIDE]
-    seeds = np.empty((seed_thetas.size, spec.d), dtype=complex)
-    warm = _solve_slices(slice_coeff_matrix(spec, x0[:1]), None, thetas[:1])[0]
-    for lo in range(0, seed_thetas.size, rows):
-        hi = min(lo + rows, seed_thetas.size)
-        seeds[lo:hi] = _solve_slices(slice_coeff_matrix(spec, seed_x0[lo:hi]),
-                                     warm, seed_thetas[lo:hi])
-        warm = seeds[hi - 1]
+    _, _, cold = next(_solve_blocks(spec, x0[:1], thetas[:1],
+                                    lambda lo, hi: None))
+    seeds = np.concatenate([rts for _, _, rts in _solve_blocks(
+        spec, x0[::_SEED_STRIDE], thetas[::_SEED_STRIDE],
+        lambda lo, hi: cold[0])])
     nearest = np.minimum((np.arange(thetas.size) + _SEED_STRIDE // 2)
                          // _SEED_STRIDE, seeds.shape[0] - 1)
-    for lo in range(0, thetas.size, slices):
-        hi = min(lo + slices, thetas.size)
-        yield lo, hi, _solve_slices(slice_coeff_matrix(spec, x0[lo:hi]),
-                                    seeds[nearest[lo:hi]], thetas[lo:hi])
+    yield from _solve_blocks(spec, x0, thetas,
+                             lambda lo, hi: seeds[nearest[lo:hi]])
 
 
 def _jensen_values(spec: PdSpec, thetas: np.ndarray) -> np.ndarray:

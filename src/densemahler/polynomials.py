@@ -35,9 +35,9 @@ ABERTH_MAX_ITER = 200
 ABERTH_NEWTON_TOL = 1e-13
 ROOT_RESIDUAL_TOL = 1e-10
 # complex values per block of the Aberth pairwise sums, of the evaluators'
-# slice rows and of the oracle's slice blocks: 256 KB, so the temporaries
-# stay cache-sized at every d; 2^13 to 2^17 time alike for m_oracle at
-# d = 10 to 120 (2 vCPUs)
+# slice rows and of the oracle's seed blocks and slice blocks: 256 KB, so
+# the temporaries stay cache-sized at every d; 2^13 to 2^17 time alike for
+# m_oracle at d = 10 to 120 (2 vCPUs)
 _BLOCK_ELEMENTS = 2**14
 
 
@@ -198,8 +198,8 @@ def aberth_roots_batch(coeffs: np.ndarray,
     n_poly, deg = coeffs.shape[0], coeffs.shape[1] - 1
     if deg < 1:
         raise ValueError("degree must be >= 1")
-    # a NaN correction never reaches ABERTH_NEWTON_TOL, so it would count as
-    # converged; refuse non-finite input before any arithmetic
+    # non-finite input could only end in a RootFindingError after every
+    # sweep; refuse it before any arithmetic
     if not (np.all(np.isfinite(coeffs))
             and (initial is None or np.all(np.isfinite(initial)))):
         raise ValueError("coefficients and initial roots must be finite")
@@ -247,8 +247,10 @@ def aberth_roots_batch(coeffs: np.ndarray,
             stalled = denom == 0
             w = np.where(stalled, 0.0, pa / np.where(stalled, 1.0, denom))
         za -= w
-        # freeze converged rows; polynomials in a batch are independent
-        still = np.abs(w, out=size[:n]).max(axis=1) >= ABERTH_NEWTON_TOL
+        # freeze converged rows; polynomials in a batch are independent.  A
+        # NaN correction (an overflowed Horner) is not below the tolerance,
+        # so its row stays unconverged and ends in RootFindingError
+        still = ~(np.abs(w, out=size[:n]).max(axis=1) < ABERTH_NEWTON_TOL)
         if not still.all():
             out[active] = za
             active = active[still]

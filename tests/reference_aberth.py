@@ -68,7 +68,7 @@ def aberth_reference(coeffs: np.ndarray,
         stalled = denom == 0
         w = np.where(stalled, 0.0, p / np.where(stalled, 1.0, denom))
         out[active] = z - w
-        still = np.max(np.abs(w), axis=1) >= polynomials.ABERTH_NEWTON_TOL
+        still = ~(np.max(np.abs(w), axis=1) < polynomials.ABERTH_NEWTON_TOL)
         active = active[still]
         if active.size == 0:
             return out

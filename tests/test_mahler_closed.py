@@ -121,7 +121,7 @@ def test_grid_weight_sum_chunks(monkeypatch):
 
     one_call = {n: grid_weight_sum(n) for n in (2, 3, 50, 1001)}
     monkeypatch.setattr(mahler_closed, "cl2_array", counting_cl2)
-    monkeypatch.setattr(mahler_closed, "_GRID_CHUNK", 7)
+    monkeypatch.setattr(mahler_closed, "_CL2_BLOCK", 7)
     for n, value in one_call.items():
         sizes.clear()
         assert abs(grid_weight_sum(n) - value) <= 1e-12 * max(1.0, abs(value))
@@ -137,8 +137,8 @@ def test_weight_mass_closed_form():
 def test_grid_weight_sum_bits_and_memory():
     # the grid is built in place, rounded step by step as the plain
     # expressions are: W(n) is bitwise the fsum of the chunk sums of
-    # weights * Cl2 written out, for n on both sides of _GRID_CHUNK
-    chunk = mahler_closed._GRID_CHUNK
+    # weights * Cl2 written out, for n on both sides of _CL2_BLOCK
+    chunk = mahler_closed._CL2_BLOCK
     for n in (2, 3, 1001, 1 << 15, (1 << 15) + 1, (1 << 15) + 2,
               1 << 20, (1 << 20) + 1, (1 << 20) + 2):
         parts = []

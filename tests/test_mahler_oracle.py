@@ -172,10 +172,12 @@ def test_oracle_error_names_angle_range(monkeypatch, good_calls):
 
 
 def test_seeded_blocks_match_cold_solves():
-    # more angles than one block of seeds, so both the seed pass and the
-    # slice pass cross block boundaries; radius 0.9 keeps roots apart
-    n = mahler_oracle._SEED_STRIDE * mahler_oracle._BATCH_LIMIT + 7
+    # more seeds than one block of _BLOCK_ELEMENTS slice coefficients, so
+    # both the seed pass and the slice pass cross block boundaries; radius
+    # 0.9 keeps roots apart
     spec = PdSpec(4)
+    rows = mahler_oracle._BLOCK_ELEMENTS // (spec.d + 1)
+    n = mahler_oracle._SEED_STRIDE * rows + 7
     t = np.linspace(0.0, TWO_PI, n)
     x0 = 0.9 * np.exp(1j * t)
     seeded = np.full((n, spec.d), np.nan, dtype=complex)
@@ -187,6 +189,15 @@ def test_seeded_blocks_match_cold_solves():
     dist = np.abs(seeded[:, :, None] - cold[:, None, :])
     assert np.max(np.min(dist, axis=2)) <= 1e-10
     assert np.max(np.min(dist, axis=1)) <= 1e-10
+
+
+def test_oracle_at_d109_matches_closed_route():
+    # d = 109 has more seeds than one block; every block of seeds starts
+    # from the one cold solve, so none starts from a far seed and overflows
+    spec = PdSpec(109)
+    res, closed = m_oracle(spec), m_closed_aggregated(spec)
+    assert res.error_estimate <= 1e-11
+    assert abs(res.value - closed.value) <= res.error_estimate
 
 
 def test_oracle_has_the_reference_solver_bits(monkeypatch):
@@ -216,9 +227,9 @@ def test_oracle_memory_stays_bounded_in_d():
 
 
 def test_oracle_peak_memory_at_d30():
-    # d = 30 is the last d with 1536 seed rows; slice blocks of at most
-    # _BLOCK_ELEMENTS coefficients (528 rows) keep its peak near 3.3 MiB,
-    # where 1536-row slice blocks peaked at 8.7 MiB
+    # blocks of at most _BLOCK_ELEMENTS slice coefficients (528 rows at
+    # d = 30) keep its peak near 3.3 MiB, where 1536-row slice blocks
+    # peaked at 8.7 MiB
     tracemalloc.start()
     try:
         m_oracle(PdSpec(30))
@@ -230,19 +241,18 @@ def test_oracle_peak_memory_at_d30():
 
 @pytest.mark.parametrize("d", [8, 30, 64])
 def test_slice_block_bound_does_not_touch_the_bits(monkeypatch, d):
-    # every slice starts from its own nearest seed and the rows of an Aberth
-    # batch are independent, so one slice per call and every angle in one
-    # call give the bits of the default blocks; d = 64 has more seeds than
-    # seed rows, so the seed pass crosses a block boundary too
+    # every seed starts from the one cold solve, every slice from its own
+    # nearest seed, and the rows of an Aberth batch are independent, so one
+    # slice per call and every angle in one call, in the seed pass and the
+    # slice pass, give the bits of the default blocks; at d = 64 the seed
+    # pass crosses a block boundary too
     want = m_oracle(PdSpec(d))
-    seed_rows = mahler_oracle._block_rows(d)[0]
-    for slices in (1, 10**9):
-        monkeypatch.setattr(mahler_oracle, "_block_rows",
-                            lambda d, slices=slices: (seed_rows, slices))
+    for elements in (d + 1, 10**9):
+        monkeypatch.setattr(mahler_oracle, "_BLOCK_ELEMENTS", elements)
         got = m_oracle(PdSpec(d))
-        assert got.panels == want.panels, (d, slices)
+        assert got.panels == want.panels, (d, elements)
         assert same_bits([got.value, got.error_estimate],
-                         np.array([want.value, want.error_estimate])), slices
+                         np.array([want.value, want.error_estimate])), elements
 
 
 def test_slice_coefficients_built_block_by_block(monkeypatch):

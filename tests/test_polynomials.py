@@ -378,11 +378,22 @@ def test_aberth_rejects_degenerate(monkeypatch):
         aberth_roots_batch(np.array([[1.0, 1.0, 1.0]], dtype=complex))
 
 
+def test_aberth_overflow_is_not_converged():
+    # roots started at 1e20 overflow the Horner of a degree-30 slice; the
+    # NaN corrections that follow are not below the tolerance, so the row
+    # never counts as converged and the solver raises instead of returning
+    # non-finite roots
+    coeffs = slice_coeff_matrix(PdSpec(30), np.exp(1j * np.array([0.5])))
+    with np.errstate(all="ignore"):
+        with pytest.raises(RootFindingError, match="worst residual nan"):
+            aberth_roots_batch(coeffs, initial=np.full(30, 1e20 + 0j))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                  complex(0.0, math.nan)])
 def test_root_finders_refuse_non_finite_input(bad):
-    # a NaN correction compares False against the tolerance, so without the
-    # check the solver would return NaN roots as converged
+    # non-finite input is a usage error, refused before any sweep: the
+    # solver would only run every sweep on NaN and raise RootFindingError
     for coeffs in ([bad, 1.0], [1.0, bad, 1.0], [0.0, bad], [1.0, 2.0, bad]):
         with pytest.raises(ValueError, match="must be finite"):
             roots(coeffs)
